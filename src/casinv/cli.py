@@ -28,7 +28,7 @@ from .gamma import GammaCertificationError, solve_gamma
 from .integrate import IntegrationError, NonElementaryError, integrate_all
 from .matrix import RankInstabilityError
 from .sysfile import ParsedSystem, SystemFileError, load_system
-from .verify import casimir_check, degeneracy_residual, flow_conservation
+from .verify import FLOW_DRIFT_TOL, casimir_check, degeneracy_residual, flow_conservation
 
 __all__ = ["main"]
 
@@ -36,8 +36,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_COMPUTATION = 3
-
-FLOW_DRIFT_TOL = 1e-6
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -340,9 +338,10 @@ def cmd_casimirs(args) -> int:
     return rep.emit(args.json)
 
 
-def cmd_verify(args) -> int:
+def cmd_pipeline(args) -> int:
+    """`verify` and `all`: every stage in turn; `all` adds the cost comparison."""
     sys_ = load_any(args.system)
-    rep = Report("verify", sys_.name)
+    rep = Report(args.command, sys_.name)
     if not section_validate(sys_, args, rep):
         rep.say("structure checks failed; later stages skipped")
         return rep.emit(args.json)
@@ -352,22 +351,8 @@ def cmd_verify(args) -> int:
     section_verify(sys_, args, rep, gammas, result)
     if args.flow:
         section_flow(sys_, args, rep, result)
-    return rep.emit(args.json)
-
-
-def cmd_all(args) -> int:
-    sys_ = load_any(args.system)
-    rep = Report("all", sys_.name)
-    if not section_validate(sys_, args, rep):
-        rep.say("structure checks failed; later stages skipped")
-        return rep.emit(args.json)
-    decomp = section_rank(sys_, args, rep)
-    gammas = section_gamma(sys_, args, rep, decomp)
-    result = section_casimirs(sys_, args, rep, decomp, gammas)
-    section_verify(sys_, args, rep, gammas, result)
-    if args.flow:
-        section_flow(sys_, args, rep, result)
-    section_cost(sys_.matrix.n, decomp.rank, rep)
+    if args.command == "all":
+        section_cost(sys_.matrix.n, decomp.rank, rep)
     return rep.emit(args.json)
 
 
@@ -431,15 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_casimirs)
 
-    sp = sub.add_parser("verify", help="recheck the computed invariants")
-    common(sp)
-    sp.add_argument("--flow", action="store_true", help="also check drift along the flow")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("all", help="full pipeline plus the cost comparison")
-    common(sp)
-    sp.add_argument("--flow", action="store_true", help="also check drift along the flow")
-    sp.set_defaults(func=cmd_all)
+    for name, text in (
+        ("verify", "recheck the computed invariants"),
+        ("all", "full pipeline plus the cost comparison"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        common(sp)
+        sp.add_argument("--flow", action="store_true", help="also check drift along the flow")
+        sp.set_defaults(func=cmd_pipeline)
 
     sp = sub.add_parser("cost", help="equation counts for a system or a (dim, rank) pair")
     sp.add_argument("system", nargs="?", default=None, help="optional system file or bundled name")

@@ -27,11 +27,11 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .poly import Poly, MONO_SORT_KEY, mono_degree
+from .poly import Poly, MONO_SORT_KEY
 
 __all__ = [
     "AlgebraError",
@@ -48,10 +48,10 @@ __all__ = [
     "parse",
     "format_expr",
     "python_source",
+    "compile_exprs",
     "differentiate",
     "evaluate",
     "substitute",
-    "normalize",
     "zero_verdict",
     "free_symbols",
     "symbol",
@@ -59,6 +59,7 @@ __all__ = [
     "ln_of",
     "random_rational",
     "random_point",
+    "sample_values",
 ]
 
 
@@ -123,9 +124,6 @@ class VariableSet:
     def knows(self, name: str) -> bool:
         return name in self.variables or name in self.parameters
 
-    def var_index(self, name: str) -> int:
-        return self.variables.index(name)
-
 
 class Domain:
     """Sign constraints per variable.
@@ -162,9 +160,6 @@ class Point:
 
     def __getitem__(self, name: str):
         return self.values[name]
-
-    def as_floats(self) -> dict:
-        return {k: float(v) for k, v in self.values.items()}
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.values.items()))
@@ -250,9 +245,6 @@ class Expr:
             return None
         v = self.const_value()
         return int(v) if v.denominator == 1 else None
-
-    def has_ln(self) -> bool:
-        return any(not isinstance(a, str) for a in self.num.atoms() | self.den.atoms())
 
     def monomial_count(self) -> int:
         return self.num.monomial_count() + self.den.monomial_count()
@@ -446,11 +438,6 @@ def _subs_poly(p: Poly, mapping: dict) -> Expr:
     return total
 
 
-def normalize(e: Expr) -> Expr:
-    """Rebuild the canonical form from scratch.  Idempotent by design."""
-    return substitute(e, {})
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -582,6 +569,25 @@ def random_point(
     for name in symbols.parameters:
         values[name] = random_rational(rng, lo, hi)
     return Point(values)
+
+
+def sample_values(exprs, symbols: VariableSet, domain: Domain | None, rng: random.Random, tries: int):
+    """Float values of exprs at random points, for the numeric checks.
+
+    Draws `tries` points with random_point and yields (point, values) at each
+    one where every expression is defined; a point where one hits a zero
+    denominator or ln of a non-positive value is skipped.  The expressions
+    are compiled once; callers stop early by leaving the loop.
+    """
+    f = compile_exprs(exprs, symbols)
+    names = symbols.all_symbols()
+    for _ in range(tries):
+        pt = random_point(symbols, domain, rng)
+        try:
+            values = f(*(float(pt.values[name]) for name in names))
+        except (ZeroDivisionError, ValueError):
+            continue
+        yield pt, values
 
 
 @dataclass(frozen=True)
@@ -800,35 +806,35 @@ def parse(text: str, symbols: VariableSet) -> Expr:
 # printing
 
 
-def _mono_str(m, c: Fraction, python: bool = False):
+def _mono_str(m, c: Fraction, py: dict | None = None):
     sign = "-" if c < 0 else "+"
     c = abs(c)
     parts = []
     if c != 1 or not m:
-        if python:
+        if py is not None:
             parts.append(f"({c.numerator}/{c.denominator})" if c.denominator != 1 else str(c.numerator))
         else:
             parts.append(str(c))
-    caret = "**" if python else "^"
-    fn = "log" if python else "ln"
+    caret = "^" if py is None else "**"
+    fn = "ln" if py is None else "log"
     for a, e in m:
         if isinstance(a, str):
-            s = a
+            s = a if py is None else py.get(a, a)
         else:
-            s = f"{fn}({_format(a.arg, python)})"
+            s = f"{fn}({_format(a.arg, py)})"
         if e > 1:
             s = f"{s}{caret}{e}"
         parts.append(s)
     return sign, "*".join(parts)
 
 
-def _poly_str(p: Poly, python: bool = False) -> str:
+def _poly_str(p: Poly, py: dict | None = None) -> str:
     if p.is_zero():
         return "0"
     monos = sorted(p.terms.items(), key=lambda mc: MONO_SORT_KEY(mc[0]), reverse=True)
     out = []
     for k, (m, c) in enumerate(monos):
-        sign, body = _mono_str(m, c, python)
+        sign, body = _mono_str(m, c, py)
         if k == 0:
             out.append(body if sign == "+" else f"-{body}")
         else:
@@ -836,13 +842,14 @@ def _poly_str(p: Poly, python: bool = False) -> str:
     return "".join(out)
 
 
-def _format(e: Expr, python: bool = False) -> str:
-    ns = _poly_str(e.num, python)
+def _format(e: Expr, py: dict | None = None) -> str:
+    """Surface syntax when py is None, else Python source with symbols renamed by py."""
+    ns = _poly_str(e.num, py)
     if e.den.is_one():
         return ns
     if len(e.num.terms) > 1:
         ns = f"({ns})"
-    ds = _poly_str(e.den, python)
+    ds = _poly_str(e.den, py)
     den_terms = list(e.den.terms.items())
     simple = (
         len(den_terms) == 1
@@ -858,9 +865,25 @@ def _format(e: Expr, python: bool = False) -> str:
 
 def format_expr(e: Expr) -> str:
     """Deterministic textual form; parse(format_expr(e)) == e."""
-    return _format(e, python=False)
+    return _format(e)
 
 
 def python_source(e: Expr) -> str:
     """Python expression string for fast float evaluation (needs log in scope)."""
-    return _format(e, python=True)
+    return _format(e, {})
+
+
+def compile_exprs(exprs, symbols: VariableSet):
+    """Fast float evaluator: a function of the symbols' values, returning a tuple.
+
+    It takes the values in symbols.all_symbols() order.  Its parameters get
+    generated names (_s0, _s1, ...) that no identifier can take, so symbols
+    named like Python keywords or `log` compile too.
+    """
+    py = {name: f"_s{i}" for i, name in enumerate(symbols.all_symbols())}
+    parts = [repr(float(e.const_value())) if e.is_constant() else _format(e, py) for e in exprs]
+    tail = "," if len(parts) == 1 else ""
+    src = f"def _f({', '.join(py.values())}):\n    return ({', '.join(parts)}{tail})"
+    ns = {"log": math.log}
+    exec(src, ns)
+    return ns["_f"]

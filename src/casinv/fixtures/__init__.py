@@ -11,7 +11,7 @@ from importlib.resources import files
 
 from ..sysfile import ParsedSystem, parse_system
 
-__all__ = ["fixture_names", "load_fixture", "load_all"]
+__all__ = ["fixture_names", "load_fixture"]
 
 
 def _data_dir():
@@ -34,7 +34,3 @@ def load_fixture(name: str) -> ParsedSystem:
         known = ", ".join(fixture_names())
         raise KeyError(f"no bundled system named {name!r} (have: {known})") from None
     return parse_system(text, source=f"fixture:{name}")
-
-
-def load_all() -> list:
-    return [load_fixture(n) for n in fixture_names()]

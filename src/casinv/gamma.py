@@ -42,9 +42,6 @@ class GammaMatrix:
     def coefficient(self, dep: int, pivot: int) -> Expr:
         return self.coeffs[(dep, pivot)]
 
-    def row(self, dep: int) -> tuple:
-        return tuple(self.coeffs[(dep, k)] for k in self.pivot_rows)
-
     def items_1based(self):
         """((dep, pivot), coefficient) with 1-based indices, deterministic order."""
         for dep in self.dependent_rows:

@@ -36,18 +36,16 @@ from .expr import (
     EXPR_ONE,
     EXPR_ZERO,
     Domain,
-    EvalDomainError,
     Expr,
     VariableSet,
     _from_poly,
     _involves,
     _reduce,
     differentiate,
-    evaluate,
     free_symbols,
     ln_of,
     number,
-    random_point,
+    sample_values,
     symbol,
     zero_verdict,
 )
@@ -179,29 +177,28 @@ def _prefilter_points(coeffs, defects, pool, symbols, domain, seed, count=2):
     """Numeric snapshots used to screen eta candidates cheaply."""
     names = symbols.variables
     n = len(names)
-    pool_grads = [
-        [differentiate(f, v, symbols) for v in names] for f in pool
-    ]
+    grads = [differentiate(f, v, symbols) for f in pool for v in names]
+    exprs = [*coeffs, *defects.values(), *pool, *grads]
+    nc, nd, nf = len(coeffs), len(defects), len(pool)
     rng = random.Random(f"eta-prefilter:{seed}")
     snaps = []
-    attempts = 0
-    while len(snaps) < count and attempts < 100:
-        attempts += 1
-        pt = random_point(symbols, domain, rng)
-        try:
-            cv = [evaluate(c, pt) if not c.is_zero() else 0.0 for c in coeffs]
-            dv = {key: evaluate(d, pt) if not d.is_zero() else 0.0 for key, d in defects.items()}
-            fv = [evaluate(f, pt) for f in pool]
-            gv = [
-                [evaluate(g, pt) if not g.is_zero() else 0.0 for g in row]
-                for row in pool_grads
-            ]
-            xv = [float(pt[v]) for v in names]
-        except EvalDomainError:
-            continue
+    for pt, vals in sample_values(exprs, symbols, domain, rng, 50 * count):
+        fv = vals[nc + nd : nc + nd + nf]
         if any(abs(v) < 1e-9 for v in fv):
             continue
-        snaps.append({"c": cv, "d": dv, "f": fv, "g": gv, "x": xv, "n": n})
+        gv = vals[nc + nd + nf :]
+        snaps.append(
+            {
+                "c": vals[:nc],
+                "d": dict(zip(defects, vals[nc : nc + nd])),
+                "f": fv,
+                "g": [gv[i * n : (i + 1) * n] for i in range(nf)],
+                "x": [float(pt[v]) for v in names],
+                "n": n,
+            }
+        )
+        if len(snaps) == count:
+            break
     return snaps
 
 

@@ -27,14 +27,11 @@ from .expr import (
     Domain,
     EXPR_ONE,
     EXPR_ZERO,
-    EvalDomainError,
     Expr,
-    Point,
     VariableSet,
     ZeroVerdict,
     differentiate,
-    evaluate,
-    random_point,
+    sample_values,
     zero_verdict,
 )
 from .linalg import det_exact
@@ -83,9 +80,6 @@ class JacobiReport:
     failures: tuple
     sampled_only: tuple  # triples passed only by sampling (ln atoms in play)
 
-    def failed_triples(self) -> list:
-        return [f.triple for f in self.failures]
-
 
 @dataclass(frozen=True)
 class PivotDecomposition:
@@ -103,6 +97,13 @@ class PivotDecomposition:
     @property
     def dependent_rows_1based(self) -> tuple:
         return tuple(i + 1 for i in self.dependent_rows)
+
+
+def numeric_rank(m: np.ndarray, tol: float) -> int:
+    """Singular values above tol times the largest; a block is invertible at full rank."""
+    s = np.linalg.svd(m, compute_uv=False)
+    top = float(s[0]) if s.size else 0.0
+    return int(np.sum(s > tol * top)) if top > 0.0 else 0
 
 
 class StructureMatrix:
@@ -145,35 +146,6 @@ class StructureMatrix:
 
     def entry(self, i: int, j: int) -> Expr:
         return self.rows[i][j]
-
-    # -- numerics ------------------------------------------------------------
-
-    def numeric(self, point) -> np.ndarray:
-        values = point.values if isinstance(point, Point) else dict(point)
-        n = self.n
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if not self.rows[i][j].is_zero():
-                    out[i, j] = evaluate(self.rows[i][j], values)
-        return out
-
-    def sample_points(self, k: int, seed: int = 0, lo: int = 1, hi: int = 10) -> list:
-        """k random rational points where every entry evaluates cleanly."""
-        rng = random.Random(f"structure-sample:{seed}")
-        pts = []
-        tries = 0
-        while len(pts) < k:
-            tries += 1
-            if tries > 50 * max(k, 1):
-                raise StructureError("could not sample points where the matrix is regular")
-            pt = random_point(self.symbols, self.domain, rng, lo, hi)
-            try:
-                self.numeric(pt)
-            except EvalDomainError:
-                continue
-            pts.append(pt)
-        return pts
 
     # -- structural checks -----------------------------------------------------
 
@@ -227,13 +199,14 @@ class StructureMatrix:
     # -- rank and pivot selection ------------------------------------------------
 
     def _rank_profile(self, samples: int, tol: float, seed: int):
-        pts = self.sample_points(samples, seed)
-        mats = [self.numeric(pt) for pt in pts]
-        ranks = []
-        for m in mats:
-            s = np.linalg.svd(m, compute_uv=False)
-            top = float(s[0]) if s.size else 0.0
-            ranks.append(int(np.sum(s > tol * top)) if top > 0.0 else 0)
+        n = self.n
+        rng = random.Random(f"structure-sample:{seed}")
+        entries = [e for row in self.rows for e in row]
+        draws = sample_values(entries, self.symbols, self.domain, rng, 50 * max(samples, 1))
+        mats = [np.array(v).reshape(n, n) for _, v in itertools.islice(draws, samples)]
+        if len(mats) < samples:
+            raise StructureError("could not sample points where the matrix is regular")
+        ranks = [numeric_rank(m, tol) for m in mats]
         counts = Counter(ranks)
         best, cnt = counts.most_common(1)[0]
         if cnt * 2 <= len(ranks):
@@ -245,10 +218,7 @@ class StructureMatrix:
                 f"numeric rank {best} is odd; a skew-symmetric matrix has even rank "
                 "(tolerance or domain trouble)"
             )
-        return best, tuple(ranks), pts, mats
-
-    def rank_numeric(self, samples: int = 7, tol: float = 1e-9, seed: int = 0) -> int:
-        return self._rank_profile(samples, tol, seed)[0]
+        return best, tuple(ranks), mats
 
     def decompose(
         self,
@@ -269,7 +239,7 @@ class StructureMatrix:
         When C(n, rank) exceeds candidate_budget, a greedy pass grows the
         block two rows at a time instead of enumerating.
         """
-        rank, ranks, pts, mats = self._rank_profile(samples, tol, seed)
+        rank, ranks, mats = self._rank_profile(samples, tol, seed)
         n = self.n
         if rank == 0:
             return PivotDecomposition(0, (), tuple(range(n)), (), EXPR_ONE, ranks)
@@ -281,12 +251,7 @@ class StructureMatrix:
 
         scored = []
         for subset in candidates:
-            good = 0
-            for m in mats:
-                block = m[np.ix_(subset, subset)]
-                s = np.linalg.svd(block, compute_uv=False)
-                if s[0] > 0.0 and s[-1] > tol * s[0]:
-                    good += 1
+            good = sum(numeric_rank(m[np.ix_(subset, subset)], tol) == rank for m in mats)
             if good * 2 <= len(mats):
                 continue
             sym = [[self.rows[p][q] for q in subset] for p in subset]
@@ -330,9 +295,7 @@ class StructureMatrix:
             pairs = itertools.combinations((i for i in range(n) if i not in chosen), 2)
             for i, j in sorted(pairs, key=lambda p: (row_nnz[p[0]] + row_nnz[p[1]], p)):
                 trial = sorted(chosen + [i, j])
-                block = m[np.ix_(trial, trial)]
-                s = np.linalg.svd(block, compute_uv=False)
-                if s[0] > 0.0 and s[-1] > tol * s[0]:
+                if numeric_rank(m[np.ix_(trial, trial)], tol) == len(trial):
                     found = (i, j)
                     break
             if found is None:

@@ -172,9 +172,6 @@ class Poly:
                 out.add(a)
         return out
 
-    def has_atom(self, a) -> bool:
-        return any(at == a for m in self.terms for at, _ in m)
-
     def degree_in(self, a) -> int:
         best = 0
         for m in self.terms:

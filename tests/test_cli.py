@@ -148,3 +148,36 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(p))
     assert code == 2
     assert "bad.psys" in err
+
+
+KEYWORD_SYSTEM = """\
+system keywords
+vars log lambda def
+params None b
+domain log > 0
+domain lambda > 0
+domain def > 0
+J[1][2] = -log*lambda/(None*b)
+J[1][3] = -log*def/None
+J[2][3] = -lambda*def
+H = None*b*log + lambda - None*def - b*ln(lambda) - ln(def)
+"""
+
+
+def test_keyword_and_log_symbol_names_run_the_flow(tmp_path, capsys):
+    # Python keywords and `log` are fine identifiers in a system file; the
+    # compiled evaluator must neither choke on them nor let them shadow log
+    p = tmp_path / "keywords.psys"
+    p.write_text(KEYWORD_SYSTEM)
+    code, out, err = run(capsys, "all", str(p), "--flow")
+    assert code == 0, out + err
+    assert "None*b*ln(log) - b*ln(lambda) + ln(def)" in out
+    assert "flow: 5/5 trajectories" in out
+
+
+def test_flow_retries_unresolved_hamiltonian_drift(capsys):
+    # at this seed one trajectory completes at scale 0.5 with the
+    # Hamiltonian drifting past the tolerance; it is retried at 0.25
+    code, out, _ = run(capsys, "all", "lv3-j1", "--seed", "7", "--flow")
+    assert code == 0
+    assert "#3 at t=1.000 (scale 0.5)" in out

@@ -49,13 +49,14 @@ def test_full_rank_system_has_no_gammas():
     assert list(gammas.items_1based()) == []
 
 
-def test_row_accessor_orders_by_pivot():
+def test_items_1based_orders_by_pivot():
     sys_ = load_fixture("lv3-j1")
     decomp = sys_.matrix.decompose()
     gammas = solve_gamma(sys_.matrix, decomp)
     (dep,) = gammas.dependent_rows
-    row = gammas.row(dep)
-    assert row == tuple(gammas.coefficient(dep, k) for k in gammas.pivot_rows)
+    items = list(gammas.items_1based())
+    assert [key for key, _ in items] == [(dep + 1, k + 1) for k in gammas.pivot_rows]
+    assert [c for _, c in items] == [gammas.coefficient(dep, k) for k in gammas.pivot_rows]
 
 
 def test_forged_decomposition_fails_certification():

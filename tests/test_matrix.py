@@ -1,8 +1,12 @@
 """Structure matrices: skew checks, Jacobi identity, rank, pivot selection."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
-from casinv.expr import EXPR_ZERO, Domain, VariableSet, parse
+from casinv.expr import EXPR_ZERO, Domain, VariableSet, parse, sample_values
 from casinv.fixtures import fixture_names, load_fixture
 from casinv.matrix import RankInstabilityError, StructureMatrix
 
@@ -65,13 +69,14 @@ def test_jacobi_all_fixtures():
 
 def test_rank_of_rotation_bracket():
     mat = upper3(e12="x3", e13="-x2", e23="x1")
-    assert mat.rank_numeric() == 2
+    decomp = mat.decompose()
+    assert decomp.rank == 2
+    assert decomp.rank_samples == (2,) * 7
 
 
 def test_rank_zero_matrix():
     rows = tuple(tuple(EXPR_ZERO for _ in range(3)) for _ in range(3))
     mat = StructureMatrix(VS3, rows, Domain(), "null")
-    assert mat.rank_numeric() == 0
     decomp = mat.decompose()
     assert decomp.rank == 0
     assert decomp.pivot_rows == ()
@@ -121,21 +126,27 @@ def test_odd_numeric_rank_is_refused():
         (EXPR_ZERO, EXPR_ZERO),
     )
     mat = StructureMatrix(vs, rows, Domain(), "lopsided")
-    with pytest.raises(RankInstabilityError):
-        mat.rank_numeric()
+    with pytest.raises(RankInstabilityError, match="odd"):
+        mat.decompose()
+
+
+def _matrix_samples(mat, k, seed):
+    entries = [e for row in mat.rows for e in row]
+    draws = sample_values(entries, mat.symbols, mat.domain, random.Random(seed), 50 * k)
+    return [(pt, np.array(v).reshape(mat.n, mat.n)) for pt, v in itertools.islice(draws, k)]
 
 
 def test_sample_points_respect_domain():
     sys_ = load_fixture("lv3-j1")
-    pts = sys_.matrix.sample_points(5, seed=3)
-    assert len(pts) == 5
-    for pt in pts:
+    samples = _matrix_samples(sys_.matrix, 5, seed=3)
+    assert len(samples) == 5
+    for pt, _ in samples:
         for name, value in pt.values.items():
             assert value > 0, name
 
 
 def test_numeric_evaluation_is_skew():
     sys_ = load_fixture("light-top")
-    pt = sys_.matrix.sample_points(1, seed=9)[0]
-    a = sys_.matrix.numeric(pt)
+    ((_, a),) = _matrix_samples(sys_.matrix, 1, seed=9)
     assert abs(a + a.T).max() < 1e-12
+    assert abs(a).max() > 0

@@ -44,6 +44,13 @@ def test_report_matches_golden(key):
     assert render(CASES[key]) == want
 
 
+def test_verify_report_is_all_without_cost():
+    # `verify` and `all` share one pipeline; only the cost lines differ
+    want = (GOLDEN / "light-top-flow.txt").read_text()
+    want = "".join(line for line in want.splitlines(True) if not line.startswith("cost"))
+    assert render(["verify", "light-top", "--seed", "42", "--flow"]) == want
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for key, argv in sorted(CASES.items()):
