@@ -147,6 +147,17 @@ def test_eta_none_when_form_is_not_integrable():
     assert factor is None
 
 
+def test_eta_from_variable_monomial_search():
+    # c (dx1 + dx2 + dx3) with c = 1/(x1*x2*x3): no product of one or two
+    # coefficient factors closes it, the monomial x1*x2*x3 does
+    vs = VariableSet(("x1", "x2", "x3"))
+    c = parse("1/(x1*x2*x3)", vs)
+    factor = find_eta((c, c, c), vs)
+    assert factor is not None
+    assert factor.provenance == "monomial-search"
+    assert factor.expr == parse("x1*x2*x3", vs)
+
+
 def test_eta_search_is_deterministic():
     coeffs = (E("x/z"), E("y/z"), EXPR_ONE)
     a = find_eta(coeffs, VS, seed=7)

@@ -1,8 +1,10 @@
 """Exact elimination: determinants, linear solves, rational nullspaces."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casinv.expr import EXPR_ONE, EXPR_ZERO, VariableSet, number, parse
 from casinv.linalg import (
@@ -138,3 +140,83 @@ def test_solve_matches_det_via_cramer():
 
 def test_number_helper_matches_parse():
     assert number(Fraction(3, 4)) == E("3/4")
+
+
+# -- properties over small integer matrices ------------------------------------------
+
+
+def _leibniz(m) -> Fraction:
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _rank(m) -> int:
+    """Size of the largest nonzero minor."""
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                if _leibniz([[m[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+_entries = st.integers(-3, 3)
+
+
+@st.composite
+def _matrices(draw, square=True):
+    rows = draw(st.integers(1, 4))
+    cols = rows if square else draw(st.integers(1, 4))
+    return [[Fraction(draw(_entries)) for _ in range(cols)] for _ in range(rows)]
+
+
+def _exprs(m):
+    return [[number(v) for v in row] for row in m]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices())
+def test_det_matches_leibniz(m):
+    assert det_exact(_exprs(m)) == number(_leibniz(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_satisfies_system_or_raises_when_singular(m, data):
+    n = len(m)
+    ncols = data.draw(st.integers(1, 2))
+    b = [[Fraction(data.draw(_entries)) for _ in range(n)] for _ in range(ncols)]
+    if _leibniz(m) == 0:
+        with pytest.raises(SingularMatrixError):
+            solve_exact(_exprs(m), _exprs(b))
+        return
+    sol = solve_exact(_exprs(m), _exprs(b))
+    assert len(sol) == ncols
+    for x, rhs in zip(sol, b):
+        for i in range(n):
+            acc = EXPR_ZERO
+            for j in range(n):
+                acc = acc + number(m[i][j]) * x[j]
+            assert acc == number(rhs[i])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(square=False))
+def test_nullspace_annihilates_and_has_full_dimension(m):
+    basis = nullspace_fractions(m)
+    ncols = len(m[0])
+    assert len(basis) == ncols - _rank(m)
+    for v in basis:
+        assert len(v) == ncols
+        for row in m:
+            assert sum(c * x for c, x in zip(row, v)) == 0
+    if basis:
+        assert _rank([list(v) for v in basis]) == len(basis)
