@@ -26,9 +26,15 @@ from .expr import AlgebraError, format_expr
 from .fixtures import fixture_names, load_fixture
 from .gamma import GammaCertificationError, solve_gamma
 from .integrate import IntegrationError, NonElementaryError, integrate_all
-from .matrix import RankInstabilityError
+from .matrix import StructureError
 from .sysfile import ParsedSystem, SystemFileError, load_system
-from .verify import FLOW_DRIFT_TOL, casimir_check, degeneracy_residual, flow_conservation
+from .verify import (
+    FLOW_DRIFT_TOL,
+    VerificationError,
+    casimir_check,
+    degeneracy_residual,
+    flow_conservation,
+)
 
 __all__ = ["main"]
 
@@ -448,11 +454,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        RankInstabilityError,
+        StructureError,
         GammaCertificationError,
         IntegrationError,
         NonElementaryError,
         AlgebraError,
+        VerificationError,
     ) as e:
         print(f"computation failed: {e}", file=sys.stderr)
         return EXIT_COMPUTATION

@@ -500,45 +500,40 @@ def _mono_with_exp(m, i, new_e):
 def evaluate(e: Expr, point) -> float:
     """Float value of e at a Point (or plain mapping of symbol values)."""
     values = point.values if isinstance(point, Point) else dict(point)
-    v, _ = _eval_quot(e, values, use_float=True)
-    return float(v)
+    v, _ = _eval_quot(e, values)
+    return v
 
 
-def _eval_quot(e: Expr, values: dict, use_float: bool):
-    nv, ns = _eval_poly(e.num, values, use_float)
+def _eval_quot(e: Expr, values: dict):
+    nv, ns = _eval_poly(e.num, values)
     if e.den.is_one():
         return nv, ns
-    dv, _ = _eval_poly(e.den, values, use_float)
+    dv, _ = _eval_poly(e.den, values)
     if dv == 0:
         raise EvalDomainError("division by zero while evaluating")
     return nv / dv, ns
 
 
-def _eval_poly(p: Poly, values: dict, use_float: bool):
-    """Value and a term-wise magnitude scale (for relative zero tests)."""
-    total = 0.0 if use_float else Fraction(0)
+def _eval_poly(p: Poly, values: dict):
+    """Float value and a term-wise magnitude scale (for relative zero tests)."""
+    total = 0.0
     scale = 0.0
     for m, c in sorted(p.terms.items(), key=lambda mc: MONO_SORT_KEY(mc[0])):
-        tv = float(c) if use_float else c
-        ts = abs(float(c))
+        tv = float(c)
+        ts = abs(tv)
         for a, e in m:
             if isinstance(a, str):
                 try:
-                    val = values[a]
+                    val = float(values[a])
                 except KeyError:
                     raise EvalError(f"no value bound for symbol {a!r}") from None
-                if use_float:
-                    val = float(val)
             else:
-                argv, _ = _eval_quot(a.arg, values, use_float=True)
-                argv = float(argv)
+                argv, _ = _eval_quot(a.arg, values)
                 if argv <= 0.0:
                     raise EvalDomainError("ln of a non-positive value")
-                if not use_float:
-                    raise EvalError("exact evaluation is unavailable for ln expressions")
                 val = math.log(argv)
             tv = tv * val ** e
-            ts = ts * abs(float(val)) ** e
+            ts = ts * abs(val) ** e
         total = total + tv
         scale = scale + ts
     return total, scale
@@ -594,10 +589,11 @@ def sample_values(exprs, symbols: VariableSet, domain: Domain | None, rng: rando
 class ZeroVerdict:
     """Outcome of the zero test.
 
-    status is "zero" (canonical form is zero: proof), "nonzero" (numeric
-    witness found, or the expression is ln-free so the canonical form is
-    decisive), or "probably-zero" (every sample vanished but ln atoms keep
-    the symbolic check from being conclusive).
+    status is "zero" (canonical form is zero: proof), "nonzero" (the
+    expression is ln-free, so its nonzero canonical form is the proof and
+    samples is 0; or a sampled witness was found), or "probably-zero"
+    (every sample vanished but ln atoms keep the symbolic check from being
+    conclusive).
     """
 
     status: str
@@ -630,36 +626,28 @@ def zero_verdict(
 ) -> ZeroVerdict:
     """Decide whether e is identically zero.
 
-    The canonical form settles the rational fragment outright.  Expressions
-    containing ln atoms are sampled at `samples` random rational points in
-    the domain box; a value exceeding `tol` relative to the term-magnitude
-    scale is a nonzero witness, and survival of all samples yields
-    "probably-zero".
+    The canonical form settles the rational fragment outright: a zero
+    numerator is "zero", a nonzero ln-free one is "nonzero", and no point is
+    drawn.  A numerator with ln atoms is sampled at `samples` random
+    rational points in the domain box; a value exceeding `tol` relative to
+    the term-magnitude scale is a nonzero witness, and survival of all
+    samples yields "probably-zero".
     """
     if e.num.is_zero():
         return ZeroVerdict("zero", 0)
+    if all(isinstance(a, str) for a in e.num.atoms()):
+        return ZeroVerdict("nonzero", 0)
     rng = rng or random.Random(seed)
-    ln_free = not any(not isinstance(a, str) for a in e.num.atoms())
     checked = 0
     for _ in range(samples):
         pt = random_point(symbols, domain, rng)
         try:
-            if ln_free:
-                nv, _ = _eval_poly(e.num, pt.values, use_float=False)
-                checked += 1
-                if nv != 0:
-                    return ZeroVerdict("nonzero", checked, pt, float(nv))
-            else:
-                nv, ns = _eval_poly(e.num, pt.values, use_float=True)
-                checked += 1
-                if abs(nv) > tol * max(ns, 1.0):
-                    return ZeroVerdict("nonzero", checked, pt, float(nv))
+            nv, ns = _eval_poly(e.num, pt.values)
         except EvalDomainError:
             continue
-    if ln_free:
-        # a nonzero canonical numerator is already a proof of nonzero-ness;
-        # hitting a root at every sample is a measure-zero fluke
-        return ZeroVerdict("nonzero", checked)
+        checked += 1
+        if abs(nv) > tol * max(ns, 1.0):
+            return ZeroVerdict("nonzero", checked, pt, nv)
     return ZeroVerdict("probably-zero", checked)
 
 

@@ -173,39 +173,48 @@ def _factor_pool(coeffs) -> list:
     return pool
 
 
-def _prefilter_points(coeffs, defects, pool, symbols, domain, seed, count=2):
-    """Numeric snapshots used to screen eta candidates cheaply."""
+def _prefilter_points(coeffs, defects, factors, symbols, domain, seed, count=2):
+    """Numeric snapshots used to screen eta candidates cheaply.
+
+    Each snapshot holds the coefficient and defect values and, per factor f,
+    its log-gradient as sparse (a, (df/dx_a) / f) pairs.
+    """
     names = symbols.variables
-    n = len(names)
-    grads = [differentiate(f, v, symbols) for f in pool for v in names]
-    exprs = [*coeffs, *defects.values(), *pool, *grads]
-    nc, nd, nf = len(coeffs), len(defects), len(pool)
+    grads = [
+        (k, a, g)
+        for k, f in enumerate(factors)
+        for a, v in enumerate(names)
+        if not (g := differentiate(f, v, symbols)).is_zero()
+    ]
+    exprs = [*coeffs, *defects.values(), *factors, *(g for _, _, g in grads)]
+    nc, nd, nf = len(coeffs), len(defects), len(factors)
     rng = random.Random(f"eta-prefilter:{seed}")
     snaps = []
-    for pt, vals in sample_values(exprs, symbols, domain, rng, 50 * count):
+    for _, vals in sample_values(exprs, symbols, domain, rng, 50 * count):
         fv = vals[nc + nd : nc + nd + nf]
         if any(abs(v) < 1e-9 for v in fv):
             continue
-        gv = vals[nc + nd + nf :]
+        logd = [[] for _ in factors]
+        for (k, a, _), gv in zip(grads, vals[nc + nd + nf :]):
+            logd[k].append((a, gv / fv[k]))
         snaps.append(
-            {
-                "c": vals[:nc],
-                "d": dict(zip(defects, vals[nc : nc + nd])),
-                "f": fv,
-                "g": [gv[i * n : (i + 1) * n] for i in range(nf)],
-                "x": [float(pt[v]) for v in names],
-                "n": n,
-            }
+            {"c": vals[:nc], "d": dict(zip(defects, vals[nc : nc + nd])), "L": logd, "n": len(names)}
         )
         if len(snaps) == count:
             break
     return snaps
 
 
-def _numeric_screen(snaps, log_deriv) -> bool:
-    """Check d[a,b] + c_b L_a - c_a L_b ~ 0 at every snapshot; L = eta'/eta."""
+def _numeric_screen(snaps, idxs, exps) -> bool:
+    """Check d[a,b] + c_b L_a - c_a L_b ~ 0 at every snapshot; L = eta'/eta.
+
+    eta is the product of factors[i] ** e over zip(idxs, exps).
+    """
     for s in snaps:
-        L = log_deriv(s)
+        L = [0.0] * s["n"]
+        for i, e in zip(idxs, exps):
+            for a, lg in s["L"][i]:
+                L[a] += e * lg
         for (a, b), d in s["d"].items():
             r = d + s["c"][b] * L[a] - s["c"][a] * L[b]
             scale = 1.0 + abs(d) + abs(s["c"][b] * L[a]) + abs(s["c"][a] * L[b])
@@ -220,6 +229,34 @@ def _certify_eta(eta, coeffs, symbols, domain, seed) -> bool:
 
 
 _EXPONENTS = (1, -1, 2, -2)
+
+
+def _eta_candidates(npool: int, nvars: int, notes):
+    """(factor indices, exponents, provenance) in search order.
+
+    Indices below npool name coefficient factors: every single one, then
+    every pair.  The nvars indices after them name variables: a sweep over
+    their monomials with exponents -2..2, smallest sum of |exponent| first.
+    """
+    for i in range(npool):
+        for e in _EXPONENTS:
+            yield (i,), (e,), "reciprocal-coefficient"
+    for i, j in itertools.combinations(range(npool), 2):
+        for e1 in _EXPONENTS:
+            for e2 in _EXPONENTS:
+                yield (i, j), (e1, e2), "reciprocal-coefficient"
+    if 5 ** nvars > 200_000:
+        if notes is not None:
+            notes.append("monomial eta sweep skipped: too many variables")
+        return
+    grid = sorted(
+        itertools.product(range(-2, 3), repeat=nvars),
+        key=lambda p: (sum(map(abs, p)), p),
+    )
+    idxs = tuple(range(npool, npool + nvars))
+    for p in grid:
+        if any(p):
+            yield idxs, p, "monomial-search"
 
 
 def find_eta(
@@ -244,65 +281,22 @@ def find_eta(
         return IntegratingFactor(EXPR_ONE, "not-needed")
 
     pool = _factor_pool(coeffs)
-    snaps = _prefilter_points(coeffs, defects, pool, symbols, domain, seed)
+    active = [v for v in symbols.variables if any(_involves(c, v) for c in coeffs)]
+    factors = pool + [symbol(v) for v in active]
+    snaps = _prefilter_points(coeffs, defects, factors, symbols, domain, seed)
     if not snaps:
         if notes is not None:
             notes.append("eta search skipped: no usable numeric sample points")
         return None
 
-    # products of one or two pool factors
-    combos = [((i,), (e,)) for i in range(len(pool)) for e in _EXPONENTS]
-    combos += [
-        ((i, j), (e1, e2))
-        for i, j in itertools.combinations(range(len(pool)), 2)
-        for e1 in _EXPONENTS
-        for e2 in _EXPONENTS
-    ]
-    for idxs, exps in combos:
-
-        def log_deriv(s, idxs=idxs, exps=exps):
-            return [
-                sum(e * s["g"][i][a] / s["f"][i] for i, e in zip(idxs, exps))
-                for a in range(s["n"])
-            ]
-
-        if not _numeric_screen(snaps, log_deriv):
+    for idxs, exps, provenance in _eta_candidates(len(pool), len(active), notes):
+        if not _numeric_screen(snaps, idxs, exps):
             continue
         eta = EXPR_ONE
         for i, e in zip(idxs, exps):
-            eta = eta * pool[i] ** e
+            eta = eta * factors[i] ** e
         if _certify_eta(eta, coeffs, symbols, domain, seed):
-            return IntegratingFactor(eta, "reciprocal-coefficient")
-
-    # pure monomials in the active variables
-    names = symbols.variables
-    active = [v for v in range(len(names)) if any(_involves(c, names[v]) for c in coeffs)]
-    if 5 ** len(active) > 200_000:
-        if notes is not None:
-            notes.append("monomial eta sweep skipped: too many variables")
-        return None
-    grid = sorted(
-        itertools.product(range(-2, 3), repeat=len(active)),
-        key=lambda p: (sum(abs(q) for q in p), p),
-    )
-    for p in grid:
-        if not any(p):
-            continue
-
-        def log_deriv(s, p=p):
-            L = [0.0] * s["n"]
-            for col, v in enumerate(active):
-                L[v] = p[col] / s["x"][v]
-            return L
-
-        if not _numeric_screen(snaps, log_deriv):
-            continue
-        eta = EXPR_ONE
-        for col, v in enumerate(active):
-            if p[col]:
-                eta = eta * symbol(names[v]) ** p[col]
-        if _certify_eta(eta, coeffs, symbols, domain, seed):
-            return IntegratingFactor(eta, "monomial-search")
+            return IntegratingFactor(eta, provenance)
     return None
 
 

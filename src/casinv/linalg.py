@@ -1,10 +1,10 @@
 """Exact linear algebra over Expr entries and over plain Fractions.
 
 Everything here is small and dense: pivot blocks of structure matrices and
-coefficient systems extracted from closedness conditions.  Gaussian
-elimination with exact arithmetic is entirely adequate at these sizes; the
-Expr type keeps quotients gcd-reduced at every step, which is what stops
-intermediate expression swell.
+coefficient systems extracted from closedness conditions.  One Gauss-Jordan
+reduction with exact arithmetic serves the determinant, the solve and the
+nullspace; the Expr type keeps quotients gcd-reduced at every step, which is
+what stops intermediate expression swell.
 """
 
 from __future__ import annotations
@@ -20,31 +20,46 @@ class SingularMatrixError(Exception):
     pass
 
 
-def det_exact(rows: list) -> Expr:
-    """Determinant of a square Expr matrix by elimination with row pivoting."""
-    n = len(rows)
-    if n == 0:
-        return EXPR_ONE
-    m = [list(r) for r in rows]
-    sign = 1
-    det = EXPR_ONE
-    for k in range(n):
-        p = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+def _rref(m: list, width: int, is_zero) -> tuple:
+    """Reduce m in place to reduced row echelon form over its first `width` columns.
+
+    Rows are pivoted on the first nonzero entry at or below the current row,
+    so the pivots are the ones forward elimination finds.  Returns the pivot
+    columns and the product of the pivots with one sign flip per row swap
+    (the determinant when m is square and every column has a pivot).
+    """
+    pivots = []
+    det = 1
+    r = 0
+    for c in range(width):
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
         if p is None:
-            return EXPR_ZERO
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        det = det * pivot
-        for i in range(k + 1, n):
-            if m[i][k].is_zero():
-                continue
-            f = m[i][k] / pivot
-            for j in range(k + 1, n):
-                m[i][j] = m[i][j] - f * m[k][j]
-            m[i][k] = EXPR_ZERO
-    return det if sign > 0 else -det
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            det = -det
+        pv = m[r][c]
+        det = det * pv
+        inv = 1 / pv
+        m[r][c:] = [v * inv for v in m[r][c:]]
+        for i in range(len(m)):
+            if i != r and not is_zero(m[i][c]):
+                f = m[i][c]
+                m[i][c:] = [vi - f * vr for vi, vr in zip(m[i][c:], m[r][c:])]
+        pivots.append(c)
+        r += 1
+    return pivots, det
+
+
+def det_exact(rows: list) -> Expr:
+    """Determinant of a square Expr matrix."""
+    n = len(rows)
+    pivots, det = _rref([list(r) for r in rows], n, Expr.is_zero)
+    if len(pivots) < n:
+        return EXPR_ZERO
+    return det if n else EXPR_ONE
 
 
 def solve_exact(a: list, b: list) -> list:
@@ -55,26 +70,12 @@ def solve_exact(a: list, b: list) -> list:
     A is symbolically singular.
     """
     n = len(a)
-    cols = len(b)
-    m = [list(a[i]) + [b[j][i] for j in range(cols)] for i in range(n)]
-    for k in range(n):
-        p = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
-        if p is None:
-            raise SingularMatrixError(f"no pivot in column {k}")
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-        pivot = m[k][k]
-        for i in range(n):
-            if i == k or m[i][k].is_zero():
-                continue
-            f = m[i][k] / pivot
-            for j in range(k, n + cols):
-                m[i][j] = m[i][j] - f * m[k][j]
-            m[i][k] = EXPR_ZERO
-    out = []
-    for j in range(cols):
-        out.append([m[i][n + j] / m[i][i] for i in range(n)])
-    return out
+    m = [list(a[i]) + [col[i] for col in b] for i in range(n)]
+    pivots, _ = _rref(m, n, Expr.is_zero)
+    if len(pivots) < n:
+        missing = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrixError(f"no pivot in column {missing}")
+    return [[m[i][n + j] for i in range(n)] for j in range(len(b))]
 
 
 def nullspace_fractions(rows: list) -> list:
@@ -88,26 +89,9 @@ def nullspace_fractions(rows: list) -> list:
         return []
     ncols = len(rows[0])
     m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, _ = _rref(m, ncols, lambda v: v == 0)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):

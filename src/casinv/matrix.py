@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 
+CANDIDATE_BUDGET = 5000  # decompose enumerates at most this many principal blocks
+
+
 class StructureError(Exception):
     pass
 
@@ -225,7 +228,6 @@ class StructureMatrix:
         samples: int = 7,
         tol: float = 1e-9,
         seed: int = 0,
-        candidate_budget: int = 5000,
     ) -> PivotDecomposition:
         """Find the rank and a certified invertible principal block.
 
@@ -236,7 +238,7 @@ class StructureMatrix:
         matrix allows.  The winner's determinant is certified symbolically;
         candidates whose determinant cannot be certified nonzero are skipped.
 
-        When C(n, rank) exceeds candidate_budget, a greedy pass grows the
+        When C(n, rank) exceeds CANDIDATE_BUDGET, a greedy pass grows the
         block two rows at a time instead of enumerating.
         """
         rank, ranks, mats = self._rank_profile(samples, tol, seed)
@@ -244,7 +246,7 @@ class StructureMatrix:
         if rank == 0:
             return PivotDecomposition(0, (), tuple(range(n)), (), EXPR_ONE, ranks)
 
-        if math.comb(n, rank) <= candidate_budget:
+        if math.comb(n, rank) <= CANDIDATE_BUDGET:
             candidates = itertools.combinations(range(n), rank)
         else:
             candidates = [self._greedy_pivot(mats, rank, tol)]

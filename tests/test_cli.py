@@ -110,6 +110,16 @@ def test_corrupt_casimirs_is_computation_error(capsys):
     assert "computation failed" in err
 
 
+def test_unsampleable_matrix_is_computation_error(tmp_path, capsys):
+    # ln(-x) is undefined wherever x is sampled, so no regular point exists
+    p = tmp_path / "lnneg.psys"
+    p.write_text("system lnneg\nvars x y\nJ[1][2] = ln(-x)\n")
+    code, _, err = run(capsys, "all", str(p))
+    assert code == 3
+    assert "computation failed" in err
+    assert "Traceback" not in err
+
+
 def test_json_report_is_valid(capsys):
     code, out, _ = run(capsys, "all", "lv3-j1", "--json")
     assert code == 0

@@ -195,6 +195,15 @@ def test_zero_verdict_nonzero_is_decisive_without_ln():
     assert v.status == "nonzero"
 
 
+def test_zero_verdict_without_ln_draws_no_point():
+    rng = random.Random(3)
+    before = rng.getstate()
+    v = zero_verdict(symbol("x1"), VS, rng=rng)
+    assert v.status == "nonzero"
+    assert v.samples == 0
+    assert rng.getstate() == before
+
+
 def test_zero_verdict_ln_identity_is_probably_zero():
     v = zero_verdict(parse("ln(x1*x2) - ln(x1) - ln(x2)", VS), VS)
     assert v.status == "probably-zero"

@@ -8,6 +8,7 @@ import pytest
 
 from casinv.expr import EXPR_ZERO, Domain, VariableSet, parse, sample_values
 from casinv.fixtures import fixture_names, load_fixture
+from casinv import matrix
 from casinv.matrix import RankInstabilityError, StructureMatrix
 
 VS3 = VariableSet(("x1", "x2", "x3"), ())
@@ -109,10 +110,11 @@ def test_decompose_prefers_sparse_pivot_block():
     assert decomp.dependent_rows_1based == (3, 6)
 
 
-def test_greedy_fallback_agrees_with_enumeration():
+def test_greedy_fallback_agrees_with_enumeration(monkeypatch):
     sys_ = load_fixture("light-top")
     full = sys_.matrix.decompose()
-    greedy = sys_.matrix.decompose(candidate_budget=1)
+    monkeypatch.setattr(matrix, "CANDIDATE_BUDGET", 1)
+    greedy = sys_.matrix.decompose()
     assert greedy.rank == full.rank
     assert set(greedy.dependent_rows) == set(full.dependent_rows)
 
