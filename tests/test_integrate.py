@@ -238,6 +238,17 @@ def test_light_top_combination_multipliers():
     assert single.eta == parse("F3", sys_.symbols)
 
 
+def test_parameter_free_lotka_volterra_eta():
+    # x1*x3 is a Casimir, so x1^k * x3^(k-1) closes the form for every k:
+    # the search must still settle on the coefficient reciprocal 1/x3
+    vs = VariableSet(("x1", "x2", "x3"))
+    upper = {(1, 2): parse("-x1*x2", vs), (2, 3): parse("-x2*x3", vs)}
+    result = integrate_all(StructureMatrix.from_upper(vs, upper))
+    (c,) = result.casimirs
+    assert c.provenance == "reciprocal-coefficient"
+    assert c.eta == parse("1/x3", vs)
+
+
 def test_full_rank_system_has_no_invariants():
     _, result = _invariants("symplectic2")
     assert result.target == 0

@@ -2,7 +2,9 @@
 
 Each file under tests/golden/ holds the exit code on its first line and the
 exact stdout after it.  Flow runs are pinned only for the ln-free systems, so
-that no libm `log` rounding enters the pinned bytes.  Regenerate with
+that no libm `log` rounding enters the pinned bytes.  Besides the bundled
+systems, the Lie-Poisson systems under tests/systems/ are pinned, since their
+invariants come from the combination stage and the eta search.  Regenerate with
 `PYTHONPATH=src python tests/test_reports.py` after a deliberate change, and
 say in the change log which bytes moved and why.
 """
@@ -16,6 +18,7 @@ import pytest
 from casinv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SYSTEMS = Path(__file__).parent / "systems"
 FIXTURES = ["light-top", "lv3-j1", "lv3-j1-corrupt", "lv3-j2", "so3", "symplectic2"]
 LN_FREE = ["light-top", "so3", "symplectic2"]
 
@@ -29,6 +32,12 @@ for _name in FIXTURES:
                 + (["--flow"] if _flow else [])
                 + (["--json"] if _json else [])
             )
+for _name in ["gl2", "se3", "so4"]:
+    for _json in (False, True):
+        _key = _name + ("-json" if _json else "")
+        CASES[_key] = ["all", str(SYSTEMS / f"{_name}.psys"), "--seed", "42"] + (
+            ["--json"] if _json else []
+        )
 
 
 def render(argv) -> str:
