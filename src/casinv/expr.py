@@ -47,7 +47,6 @@ __all__ = [
     "ZeroVerdict",
     "parse",
     "format_expr",
-    "python_source",
     "compile_exprs",
     "differentiate",
     "evaluate",
@@ -854,11 +853,6 @@ def _format(e: Expr, py: dict | None = None) -> str:
 def format_expr(e: Expr) -> str:
     """Deterministic textual form; parse(format_expr(e)) == e."""
     return _format(e)
-
-
-def python_source(e: Expr) -> str:
-    """Python expression string for fast float evaluation (needs log in scope)."""
-    return _format(e, {})
 
 
 def compile_exprs(exprs, symbols: VariableSet):

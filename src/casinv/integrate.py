@@ -9,13 +9,16 @@ with dC proportional to w_i is an invariant.  The job here is to make some
 multiple of w_i exact and integrate it:
 
 1. w_i itself is closed: integrate directly.
-2. A single integrating factor eta works: searched among products of up to
-   two factors read off the coefficients (exponents -2..2), then among pure
-   monomials in the variables.  Candidates are screened numerically before
-   any symbolic work.
+2. A single integrating factor eta works: eta is a product of integer
+   powers of factors read off the coefficients and of the variables.
+   Closedness of eta * w_i is linear in the exponents, so they are solved
+   for, and the eta found is certified symbolically.
 3. No single form can be fixed up (the obstruction w ^ dw != 0): closed
    combinations sum_i mu_i w_i are sought with each mu_i affine in the
-   variables, by exact linear algebra on the closedness conditions.
+   variables, again by solving the closedness conditions for the unknowns.
+
+Both searches impose their linear conditions exactly at random rational
+points and solve the resulting Fraction system (_sampled_rows).
 
 Potentials are reconstructed variable by variable (integrate in x1, correct
 the remainder, move on).  The antiderivative routine covers denominators
@@ -29,7 +32,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from . import poly
 from .expr import (
@@ -45,14 +47,15 @@ from .expr import (
     free_symbols,
     ln_of,
     number,
-    sample_values,
+    random_point,
+    random_rational,
     symbol,
     zero_verdict,
 )
 from .gamma import GammaMatrix, solve_gamma
 from .linalg import nullspace_fractions
 from .matrix import PivotDecomposition, StructureMatrix
-from .poly import MONO_SORT_KEY, Poly
+from .poly import Poly
 from .verify import gradient_rank
 
 __all__ = [
@@ -89,7 +92,9 @@ class PfaffianForm:
 @dataclass(frozen=True)
 class IntegratingFactor:
     expr: Expr
-    provenance: str  # not-needed | reciprocal-coefficient | monomial-search
+    # not-needed: eta = 1; reciprocal-coefficient: a product of at most two
+    # factors read off the coefficients; monomial-search: any other product
+    provenance: str
 
 
 @dataclass(frozen=True)
@@ -173,90 +178,49 @@ def _factor_pool(coeffs) -> list:
     return pool
 
 
-def _prefilter_points(coeffs, defects, factors, symbols, domain, seed, count=2):
-    """Numeric snapshots used to screen eta candidates cheaply.
-
-    Each snapshot holds the coefficient and defect values and, per factor f,
-    its log-gradient as sparse (a, (df/dx_a) / f) pairs.
-    """
-    names = symbols.variables
-    grads = [
-        (k, a, g)
-        for k, f in enumerate(factors)
-        for a, v in enumerate(names)
-        if not (g := differentiate(f, v, symbols)).is_zero()
-    ]
-    exprs = [*coeffs, *defects.values(), *factors, *(g for _, _, g in grads)]
-    nc, nd, nf = len(coeffs), len(defects), len(factors)
-    rng = random.Random(f"eta-prefilter:{seed}")
-    snaps = []
-    for _, vals in sample_values(exprs, symbols, domain, rng, 50 * count):
-        fv = vals[nc + nd : nc + nd + nf]
-        if any(abs(v) < 1e-9 for v in fv):
-            continue
-        logd = [[] for _ in factors]
-        for (k, a, _), gv in zip(grads, vals[nc + nd + nf :]):
-            logd[k].append((a, gv / fv[k]))
-        snaps.append(
-            {"c": vals[:nc], "d": dict(zip(defects, vals[nc : nc + nd])), "L": logd, "n": len(names)}
-        )
-        if len(snaps) == count:
-            break
-    return snaps
-
-
-def _numeric_screen(snaps, idxs, exps) -> bool:
-    """Check d[a,b] + c_b L_a - c_a L_b ~ 0 at every snapshot; L = eta'/eta.
-
-    eta is the product of factors[i] ** e over zip(idxs, exps).
-    """
-    for s in snaps:
-        L = [0.0] * s["n"]
-        for i, e in zip(idxs, exps):
-            for a, lg in s["L"][i]:
-                L[a] += e * lg
-        for (a, b), d in s["d"].items():
-            r = d + s["c"][b] * L[a] - s["c"][a] * L[b]
-            scale = 1.0 + abs(d) + abs(s["c"][b] * L[a]) + abs(s["c"][a] * L[b])
-            if abs(r) > 1e-6 * scale:
-                return False
-    return True
-
-
 def _certify_eta(eta, coeffs, symbols, domain, seed) -> bool:
     scaled = [eta * c for c in coeffs]
     return _defects_vanish(exactness_defects(scaled, symbols), symbols, domain, seed)
 
 
-_EXPONENTS = (1, -1, 2, -2)
+def _poly_value(p: Poly, values: dict, rng) -> Fraction:
+    """Exact value of p; an ln atom missing from values gets a random rational."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        for a, e in m:
+            if a not in values:
+                values[a] = random_rational(rng)
+            c = c * values[a] ** e
+        total += c
+    return total
 
 
-def _eta_candidates(npool: int, nvars: int, notes):
-    """(factor indices, exponents, provenance) in search order.
+def _sampled_rows(rows_at, unknowns, active, symbols, domain, rng):
+    """Exact rows of a linear system in `unknowns` columns, imposed at random points.
 
-    Indices below npool name coefficient factors: every single one, then
-    every pair.  The nvars indices after them name variables: a sweep over
-    their monomials with exponents -2..2, smallest sum of |exponent| first.
+    rows_at(value) gives the rows at one point, where value(e) is the exact
+    Fraction value of the Expr e there.  Each ln atom takes its own random
+    rational, so it counts as an independent unknown.  One point gives at
+    most active - 1 independent rows, so ceil(unknowns / (active - 1)) + 1
+    points are drawn; a point where a value is undefined is skipped.  Returns
+    the nonzero rows, or None when 50 times the needed draws do not suffice.
     """
-    for i in range(npool):
-        for e in _EXPONENTS:
-            yield (i,), (e,), "reciprocal-coefficient"
-    for i, j in itertools.combinations(range(npool), 2):
-        for e1 in _EXPONENTS:
-            for e2 in _EXPONENTS:
-                yield (i, j), (e1, e2), "reciprocal-coefficient"
-    if 5 ** nvars > 200_000:
-        if notes is not None:
-            notes.append("monomial eta sweep skipped: too many variables")
-        return
-    grid = sorted(
-        itertools.product(range(-2, 3), repeat=nvars),
-        key=lambda p: (sum(map(abs, p)), p),
-    )
-    idxs = tuple(range(npool, npool + nvars))
-    for p in grid:
-        if any(p):
-            yield idxs, p, "monomial-search"
+    need = -(-unknowns // max(active - 1, 1)) + 1
+    rows = []
+    for _ in range(50 * need):
+        values = dict(random_point(symbols, domain, rng).values)
+
+        def value(e: Expr) -> Fraction:
+            return _poly_value(e.num, values, rng) / _poly_value(e.den, values, rng)
+
+        try:
+            rows += [r for r in rows_at(value) if any(r)]
+        except ZeroDivisionError:
+            continue
+        need -= 1
+        if need == 0:
+            return rows
+    return None
 
 
 def find_eta(
@@ -265,14 +229,18 @@ def find_eta(
     domain: Domain | None = None,
     seed: int = 0,
     defects: dict | None = None,
-    notes: list | None = None,
 ) -> IntegratingFactor | None:
     """Integrating factor for the 1-form with the given coefficients, or None.
 
     Returns eta = 1 with provenance "not-needed" when the form is already
-    closed; otherwise searches factor products, then pure variable
-    monomials.  Every candidate that survives the numeric screen is
-    certified symbolically before being returned.
+    closed.  Otherwise eta = prod f_k^e_k over factors read off the
+    coefficients and the variables they involve; eta * w is closed iff
+
+        d[a,b] + sum_k e_k (c_b df_k/dx_a - c_a df_k/dx_b) / f_k = 0
+
+    for every pair a < b, which is linear in the exponents.  Imposed at
+    random points it is solved exactly; an integer solution is certified
+    symbolically before being returned.
     """
     domain = domain or Domain()
     if defects is None:
@@ -280,24 +248,44 @@ def find_eta(
     if _defects_vanish(defects, symbols, domain, seed):
         return IntegratingFactor(EXPR_ONE, "not-needed")
 
+    names = symbols.variables
+    involved = [v for v in names if any(_involves(c, v) for c in coeffs)]
+    active = [a for a, v in enumerate(names) if v in involved or not coeffs[a].is_zero()]
     pool = _factor_pool(coeffs)
-    active = [v for v in symbols.variables if any(_involves(c, v) for c in coeffs)]
-    factors = pool + [symbol(v) for v in active]
-    snaps = _prefilter_points(coeffs, defects, factors, symbols, domain, seed)
-    if not snaps:
-        if notes is not None:
-            notes.append("eta search skipped: no usable numeric sample points")
-        return None
+    # parameters and parameter-only factors have zero gradient; variables once
+    factors = [
+        f for f in dict.fromkeys(pool + [symbol(v) for v in involved]) if free_symbols(f) & set(names)
+    ]
+    grads = [
+        [(a, g) for a in active if not (g := differentiate(f, names[a], symbols)).is_zero()]
+        for f in factors
+    ]
 
-    for idxs, exps, provenance in _eta_candidates(len(pool), len(active), notes):
-        if not _numeric_screen(snaps, idxs, exps):
-            continue
-        eta = EXPR_ONE
-        for i, e in zip(idxs, exps):
-            eta = eta * factors[i] ** e
-        if _certify_eta(eta, coeffs, symbols, domain, seed):
-            return IntegratingFactor(eta, provenance)
-    return None
+    def rows_at(value):
+        c = {a: value(coeffs[a]) for a in active}
+        logd = []
+        for f, gs in zip(factors, grads):
+            fv = value(f)
+            logd.append({a: value(g) / fv for a, g in gs})
+        return [
+            [c[b] * lg.get(a, 0) - c[a] * lg.get(b, 0) for lg in logd] + [value(defects[(a, b)])]
+            for a, b in itertools.combinations(active, 2)
+        ]
+
+    rng = random.Random(f"eta:{seed}")
+    rows = _sampled_rows(rows_at, len(factors) + 1, len(active), symbols, domain, rng)
+    # the basis vector of the free defect column is RREF's particular solution
+    sol = next((v for v in nullspace_fractions(rows or []) if v[-1]), None)
+    if sol is None or any(e.denominator != 1 for e in sol):
+        return None
+    used = [(f, int(e)) for f, e in zip(factors, sol) if e]
+    eta = EXPR_ONE
+    for f, e in used:
+        eta = eta * f**e
+    if not _certify_eta(eta, coeffs, symbols, domain, seed):
+        return None
+    from_pool = len(used) <= 2 and all(f in pool for f, _ in used)
+    return IntegratingFactor(eta, "reciprocal-coefficient" if from_pool else "monomial-search")
 
 
 # -- potential reconstruction ---------------------------------------------------
@@ -396,64 +384,49 @@ def normalize_invariant(e: Expr, symbols: VariableSet) -> Expr:
 # -- closed combinations of several forms ----------------------------------------
 
 
-def _combination_solutions(forms, defect_map, symbols: VariableSet):
+def _combination_solutions(forms, defect_map, symbols: VariableSet, domain, seed):
     """Closed combinations sum_f mu_f w_f with each mu_f affine in the variables.
 
-    Closedness is linear in the mu coefficients; matching every monomial of
-    the cleared equations gives an exact rational system whose nullspace
-    enumerates all solutions.
+    Closedness is linear in the mu coefficients; imposed exactly at random
+    points it gives a rational system whose nullspace enumerates all
+    solutions.
     """
     names = symbols.variables
     n = len(names)
     nf = len(forms)
-    width = nf * (n + 1)
+    xs = [symbol(v) for v in names]
 
-    def u_alpha(f):
-        return f * (n + 1)
-
-    def u_beta(f, v):
-        return f * (n + 1) + 1 + v
-
-    rows = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            coeff_exprs = [EXPR_ZERO] * width
-            for fi, form in enumerate(forms):
-                d = defect_map[fi][(a, b)]
-                wa, wb = form.coeffs[a], form.coeffs[b]
-                coeff_exprs[u_alpha(fi)] = d
+    def rows_at(value):
+        x = [value(e) for e in xs]
+        w = [[value(c) for c in form.coeffs] for form in forms]
+        d = [{ab: value(e) for ab, e in defect_map[fi].items()} for fi in range(nf)]
+        rows = []
+        for a, b in itertools.combinations(range(n), 2):
+            row = []
+            for fi in range(nf):
+                dab = d[fi][(a, b)]
+                # mu_f = alpha + sum_v beta_v x_v: the alpha column, then one per beta_v
+                row.append(dab)
                 for v in range(n):
-                    term = symbol(names[v]) * d
-                    if v == a:
-                        term = term + wb
-                    if v == b:
-                        term = term - wa
-                    coeff_exprs[u_beta(fi, v)] = term
-            dens = [k.den for k in coeff_exprs if not k.is_zero()]
-            if not dens:
-                continue
-            common = reduce(poly.lcm, dens)
-            cleared = []
-            for k in coeff_exprs:
-                if k.is_zero():
-                    cleared.append(Poly.zero())
-                else:
-                    cleared.append(k.num * poly.div_exact(common, k.den))
-            monos = sorted(
-                set().union(*(set(p.terms) for p in cleared)), key=MONO_SORT_KEY
-            )
-            for m in monos:
-                rows.append([p.terms.get(m, Fraction(0)) for p in cleared])
+                    row.append(x[v] * dab + (w[fi][b] if v == a else 0) - (w[fi][a] if v == b else 0))
+            rows.append(row)
+        return rows
+
+    rng = random.Random(f"combination:{seed}")
+    rows = _sampled_rows(rows_at, nf * (n + 1), n, symbols, domain, rng)
+    if rows is None:
+        return []
 
     solutions = []
     for vec in nullspace_fractions(rows):
         mults = []
         for fi in range(nf):
-            mu = number(vec[u_alpha(fi)]) if vec[u_alpha(fi)] else EXPR_ZERO
+            base = fi * (n + 1)
+            mu = number(vec[base]) if vec[base] else EXPR_ZERO
             for v in range(n):
-                cv = vec[u_beta(fi, v)]
+                cv = vec[base + 1 + v]
                 if cv:
-                    mu = mu + number(cv) * symbol(names[v])
+                    mu = mu + number(cv) * xs[v]
             mults.append(mu)
         combined = []
         for v in range(n):
@@ -495,9 +468,7 @@ def integrate_all(
     for fi, form in enumerate(forms):
         defects = exactness_defects(form.coeffs, symbols)
         defect_map[fi] = defects
-        factor = find_eta(
-            form.coeffs, symbols, mat.domain, seed=seed, defects=defects, notes=notes
-        )
+        factor = find_eta(form.coeffs, symbols, mat.domain, seed=seed, defects=defects)
         if factor is None:
             pending.append(fi)
             notes.append(
@@ -520,7 +491,7 @@ def integrate_all(
         )
 
     if pending:
-        solutions = _combination_solutions(forms, defect_map, symbols)
+        solutions = _combination_solutions(forms, defect_map, symbols, mat.domain, seed)
         notes.append(f"combination stage: {len(solutions)} closed combination(s)")
         for combined, mults in solutions:
             try:

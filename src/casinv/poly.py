@@ -434,14 +434,6 @@ def gcd(f: Poly, g: Poly) -> Poly:
     return int_primitive(c * h)
 
 
-def lcm(f: Poly, g: Poly) -> Poly:
-    if f.is_zero() or g.is_zero():
-        return _ZERO
-    q = div_exact(f * g, gcd(f, g))
-    assert q is not None
-    return int_primitive(q)
-
-
 def mono_content(f: Poly):
     """Largest monomial dividing every term of f (the monomial part of its content)."""
     it = iter(f.terms)

@@ -191,3 +191,13 @@ def test_flow_retries_unresolved_hamiltonian_drift(capsys):
     code, out, _ = run(capsys, "all", "lv3-j1", "--seed", "7", "--flow")
     assert code == 0
     assert "#3 at t=1.000 (scale 0.5)" in out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known flow gap: at this seed the exact Casimir drifts 1.9e-5 under RK4 "
+    "at dt = 1e-3 while the Hamiltonian drifts only 6.7e-7, so no retry fires",
+)
+def test_flow_resolves_lv3_j2_seed_20(capsys):
+    code, _, _ = run(capsys, "all", "lv3-j2", "--seed", "20", "--flow")
+    assert code == 0

@@ -158,6 +158,14 @@ def test_eta_from_variable_monomial_search():
     assert factor.expr == parse("x1*x2*x3", vs)
 
 
+def test_eta_exponent_is_solved_not_enumerated():
+    # (x dx + y dy + dz)/z^3 needs z^3, a power no fixed exponent range covers
+    coeffs = (E("x/z^3"), E("y/z^3"), E("1/z^3"))
+    factor = find_eta(coeffs, VS)
+    assert factor is not None
+    assert factor.expr == E("z^3")
+
+
 def test_eta_search_is_deterministic():
     coeffs = (E("x/z"), E("y/z"), EXPR_ONE)
     a = find_eta(coeffs, VS, seed=7)

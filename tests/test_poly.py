@@ -11,7 +11,6 @@ from casinv.poly import (
     div_exact,
     gcd,
     int_primitive,
-    lcm,
     mono_cmp,
     mono_content,
     mono_mul,
@@ -184,15 +183,6 @@ def test_gcd_three_variables():
     f = common * (X + ONE)
     g = common * (Y * Z - X)
     assert gcd(f, g) == common
-
-
-def test_lcm():
-    f = X * (X + Y)
-    g = Y * (X + Y)
-    m = lcm(f, g)
-    assert div_exact(m, f) is not None
-    assert div_exact(m, g) is not None
-    assert m == int_primitive(X * Y * (X + Y))
 
 
 def test_int_primitive():
