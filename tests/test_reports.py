@@ -32,7 +32,7 @@ for _name in FIXTURES:
                 + (["--flow"] if _flow else [])
                 + (["--json"] if _json else [])
             )
-for _name in ["gl2", "se3", "so4"]:
+for _name in ["gl2", "se3", "so3x12", "so4"]:
     for _json in (False, True):
         _key = _name + ("-json" if _json else "")
         CASES[_key] = ["all", str(SYSTEMS / f"{_name}.psys"), "--seed", "42"] + (
