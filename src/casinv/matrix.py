@@ -187,9 +187,8 @@ class StructureMatrix:
                 g = differentiate(e, name, self.symbols)
                 if not g.is_zero():
                     d[l] = g
-            if d:
-                grads[(a, b)] = d
-                grads[(b, a)] = {l: -g for l, g in d.items()}
+            grads[(a, b)] = d
+            grads[(b, a)] = {l: -g for l, g in d.items()}
         cols = [
             {l: self.rows[l][c] for l in range(n) if not self.rows[l][c].is_zero()}
             for c in range(n)
