@@ -22,7 +22,6 @@ from .expr import (
     EvalDomainError,
     Expr,
     ParseError,
-    Point,
     VariableSet,
     differentiate,
     evaluate,
@@ -61,7 +60,6 @@ __all__ = [
     "NonElementaryError",
     "ParseError",
     "ParsedSystem",
-    "Point",
     "RankInstabilityError",
     "StructureMatrix",
     "SystemFileError",

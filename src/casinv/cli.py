@@ -170,14 +170,7 @@ def section_gamma(sys_: ParsedSystem, args, rep: Report, decomp):
 
 
 def section_casimirs(sys_: ParsedSystem, args, rep: Report, decomp, gammas):
-    result = integrate_all(
-        sys_.matrix,
-        decomp,
-        gammas,
-        seed=stage_seed(args.seed, "integrate"),
-        samples=args.samples,
-        tol=args.tol,
-    )
+    result = integrate_all(sys_.matrix, decomp, gammas, seed=stage_seed(args.seed, "integrate"))
     rep.say(f"casimirs: {len(result.casimirs)} of {result.target} expected")
     out = []
     for idx, c in enumerate(result.casimirs, start=1):

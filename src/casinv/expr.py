@@ -41,7 +41,6 @@ __all__ = [
     "EvalDomainError",
     "VariableSet",
     "Domain",
-    "Point",
     "Expr",
     "Ln",
     "ZeroVerdict",
@@ -58,6 +57,7 @@ __all__ = [
     "ln_of",
     "random_rational",
     "random_point",
+    "sample_points",
     "sample_values",
 ]
 
@@ -147,22 +147,6 @@ class Domain:
 
     def __repr__(self):
         return f"Domain({self.declared!r})"
-
-
-class Point:
-    """An assignment of numeric values (Fraction or float) to every symbol."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: dict):
-        self.values = dict(values)
-
-    def __getitem__(self, name: str):
-        return self.values[name]
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.values.items()))
-        return f"Point({inner})"
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +481,8 @@ def _mono_with_exp(m, i, new_e):
 
 
 def evaluate(e: Expr, point) -> float:
-    """Float value of e at a Point (or plain mapping of symbol values)."""
-    values = point.values if isinstance(point, Point) else dict(point)
-    v, _ = _eval_quot(e, values)
+    """Float value of e at a mapping of symbol values."""
+    v, _ = _eval_quot(e, point)
     return v
 
 
@@ -542,46 +525,60 @@ def _eval_poly(p: Poly, values: dict):
 # sampling and the zero verdict
 
 
-def random_rational(rng: random.Random, lo: int = 1, hi: int = 10) -> Fraction:
+def random_rational(rng: random.Random) -> Fraction:
     d = rng.randint(16, 128)
-    return Fraction(rng.randint(lo * d, hi * d), d)
+    return Fraction(rng.randint(d, 10 * d), d)
 
 
 def random_point(
     symbols: VariableSet,
     domain: Domain | None = None,
     rng: random.Random | None = None,
-    lo: int = 1,
-    hi: int = 10,
-) -> Point:
+) -> dict:
     """Generic rational point: variables obey domain signs, parameters positive."""
     rng = rng or random.Random(0)
     domain = domain or Domain()
     values = {}
     for name in symbols.variables:
-        values[name] = domain.sample_sign(name) * random_rational(rng, lo, hi)
+        values[name] = domain.sample_sign(name) * random_rational(rng)
     for name in symbols.parameters:
-        values[name] = random_rational(rng, lo, hi)
-    return Point(values)
+        values[name] = random_rational(rng)
+    return values
 
 
-def sample_values(exprs, symbols: VariableSet, domain: Domain | None, rng: random.Random, tries: int):
-    """Float values of exprs at random points, for the numeric checks.
+def sample_points(symbols: VariableSet, domain: Domain | None, rng: random.Random, want: int, at):
+    """Yield at(point) at the first `want` random points where `at` is defined.
 
-    Draws `tries` points with random_point and yields (point, values) at each
-    one where every expression is defined; a point where one hits a zero
-    denominator or ln of a non-positive value is skipped.  The expressions
-    are compiled once; callers stop early by leaving the loop.
+    This is the one draw loop behind every sampled check.  Points come from
+    random_point in draw order; a point where `at` raises ZeroDivisionError,
+    ValueError or EvalDomainError (a zero denominator, ln of a non-positive
+    value) is skipped.  At most 50 * want points are drawn, so fewer than
+    `want` values mean too few points were usable.  No point is drawn after
+    the last value is taken, and callers may stop early by leaving the loop.
+    """
+    left = want
+    for _ in range(50 * want):
+        point = random_point(symbols, domain, rng)
+        try:
+            value = at(point)
+        except (ZeroDivisionError, ValueError, EvalDomainError):
+            continue
+        yield value
+        left -= 1
+        if not left:
+            return
+
+
+def sample_values(exprs, symbols: VariableSet, domain: Domain | None, rng: random.Random, points: int):
+    """Float values of exprs at up to `points` sample points where all are defined.
+
+    The expressions are compiled once and drawn through sample_points.
     """
     f = compile_exprs(exprs, symbols)
     names = symbols.all_symbols()
-    for _ in range(tries):
-        pt = random_point(symbols, domain, rng)
-        try:
-            values = f(*(float(pt.values[name]) for name in names))
-        except (ZeroDivisionError, ValueError):
-            continue
-        yield pt, values
+    return sample_points(
+        symbols, domain, rng, points, lambda pt: f(*(float(pt[name]) for name in names))
+    )
 
 
 @dataclass(frozen=True)
@@ -597,7 +594,7 @@ class ZeroVerdict:
 
     status: str
     samples: int
-    witness: Point | None = None
+    witness: dict | None = None
     witness_value: float | None = None
 
     @property
@@ -620,7 +617,6 @@ def zero_verdict(
     *,
     samples: int = 20,
     tol: float = 1e-9,
-    seed: int = 0,
     rng: random.Random | None = None,
 ) -> ZeroVerdict:
     """Decide whether e is identically zero.
@@ -628,22 +624,20 @@ def zero_verdict(
     The canonical form settles the rational fragment outright: a zero
     numerator is "zero", a nonzero ln-free one is "nonzero", and no point is
     drawn.  A numerator with ln atoms is sampled at `samples` random
-    rational points in the domain box; a value exceeding `tol` relative to
-    the term-magnitude scale is a nonzero witness, and survival of all
-    samples yields "probably-zero".
+    rational points in the domain where it is defined; a value exceeding
+    `tol` relative to the term-magnitude scale is a nonzero witness, and
+    survival of all samples yields "probably-zero".
     """
     if e.num.is_zero():
         return ZeroVerdict("zero", 0)
     if all(isinstance(a, str) for a in e.num.atoms()):
         return ZeroVerdict("nonzero", 0)
-    rng = rng or random.Random(seed)
+
+    def at(pt):
+        return (pt, *_eval_poly(e.num, pt))
+
     checked = 0
-    for _ in range(samples):
-        pt = random_point(symbols, domain, rng)
-        try:
-            nv, ns = _eval_poly(e.num, pt.values)
-        except EvalDomainError:
-            continue
+    for pt, nv, ns in sample_points(symbols, domain, rng or random.Random(0), samples, at):
         checked += 1
         if abs(nv) > tol * max(ns, 1.0):
             return ZeroVerdict("nonzero", checked, pt, nv)

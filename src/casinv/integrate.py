@@ -47,8 +47,8 @@ from .expr import (
     free_symbols,
     ln_of,
     number,
-    random_point,
     random_rational,
+    sample_points,
     symbol,
     zero_verdict,
 )
@@ -202,25 +202,21 @@ def _sampled_rows(rows_at, unknowns, active, symbols, domain, rng):
     Fraction value of the Expr e there.  Each ln atom takes its own random
     rational, so it counts as an independent unknown.  One point gives at
     most active - 1 independent rows, so ceil(unknowns / (active - 1)) + 1
-    points are drawn; a point where a value is undefined is skipped.  Returns
-    the nonzero rows, or None when 50 times the needed draws do not suffice.
+    usable points are sampled.  Returns the nonzero rows, or None when
+    fewer points are usable.
     """
     need = -(-unknowns // max(active - 1, 1)) + 1
-    rows = []
-    for _ in range(50 * need):
-        values = dict(random_point(symbols, domain, rng).values)
 
+    def rows_at_point(values):
         def value(e: Expr) -> Fraction:
             return _poly_value(e.num, values, rng) / _poly_value(e.den, values, rng)
 
-        try:
-            rows += [r for r in rows_at(value) if any(r)]
-        except ZeroDivisionError:
-            continue
-        need -= 1
-        if need == 0:
-            return rows
-    return None
+        return [r for r in rows_at(value) if any(r)]
+
+    batches = list(sample_points(symbols, domain, rng, need, rows_at_point))
+    if len(batches) < need:
+        return None
+    return [r for rows in batches for r in rows]
 
 
 def find_eta(
@@ -449,14 +445,16 @@ def integrate_all(
     decomp: PivotDecomposition | None = None,
     gammas: GammaMatrix | None = None,
     seed: int = 0,
-    samples: int = 20,
-    tol: float = 1e-9,
 ) -> IntegrationResult:
-    """Find n - rank independent invariants for the structure matrix."""
+    """Find n - rank independent invariants for the structure matrix.
+
+    decomp and gammas default to decompose and solve_gamma at their default
+    settings and this seed.
+    """
     if decomp is None:
-        decomp = mat.decompose(seed=seed, tol=tol)
+        decomp = mat.decompose(seed=seed)
     if gammas is None:
-        gammas = solve_gamma(mat, decomp, samples=samples, tol=tol, seed=seed)
+        gammas = solve_gamma(mat, decomp, seed=seed)
     symbols = mat.symbols
     target = mat.n - decomp.rank
     forms = build_forms(mat, decomp, gammas)

@@ -228,8 +228,8 @@ class StructureMatrix:
         n = self.n
         rng = random.Random(f"structure-sample:{seed}")
         entries = [e for row in self.rows for e in row]
-        draws = sample_values(entries, self.symbols, self.domain, rng, 50 * max(samples, 1))
-        mats = [np.array(v).reshape(n, n) for _, v in itertools.islice(draws, samples)]
+        draws = sample_values(entries, self.symbols, self.domain, rng, samples)
+        mats = [np.array(v).reshape(n, n) for v in draws]
         if len(mats) < samples:
             raise StructureError("could not sample points where the matrix is regular")
         ranks = [numeric_rank(m, tol) for m in mats]

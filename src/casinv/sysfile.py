@@ -42,8 +42,9 @@ _TAGS = ("reference", "derived", "direct")
 
 
 class SystemFileError(Exception):
-    def __init__(self, message: str, source: str, line: int):
-        super().__init__(f"{source}:{line}: {message}")
+    def __init__(self, message: str, source: str, line: int | None):
+        where = source if line is None else f"{source}:{line}"
+        super().__init__(f"{where}: {message}")
         self.source = source
         self.line = line
 
@@ -77,7 +78,7 @@ _DOMAIN_RE = re.compile(r"(\w+)\s*([<>])\s*0\s*$")
 def parse_system(text: str, source: str = "<string>") -> ParsedSystem:
     name = None
     variables = None
-    parameters: tuple = ()
+    parameters = None
     domain_decl: dict = {}
     j_lines: dict = {}
     h_line = None
@@ -114,7 +115,7 @@ def parse_system(text: str, source: str = "<string>") -> ParsedSystem:
             if not variables:
                 err("'vars' needs at least one name", ln)
         elif head == "params":
-            if parameters:
+            if parameters is not None:
                 err("duplicate 'params' line", ln)
             parameters = tuple(rest.split())
         elif head == "domain":
@@ -146,7 +147,7 @@ def parse_system(text: str, source: str = "<string>") -> ParsedSystem:
         err("missing 'vars' line", 1)
 
     try:
-        symbols = VariableSet(variables, parameters)
+        symbols = VariableSet(variables, parameters or ())
     except ValueError as e:
         err(str(e), 1)
 
@@ -238,4 +239,8 @@ def _int_or_err(token: str, what: str, err, ln: int) -> int:
 
 def load_system(path) -> ParsedSystem:
     p = Path(path)
-    return parse_system(p.read_text(), source=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise SystemFileError(f"cannot read the file: {e}", str(p), None) from e
+    return parse_system(text, source=str(p))

@@ -160,6 +160,22 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     assert "bad.psys" in err
 
 
+def test_directory_input_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "all", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_input_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "latin1.psys"
+    p.write_bytes("system caf\xe9\nvars x y\nJ[1][2] = x\n".encode("latin-1"))
+    code, _, err = run(capsys, "all", str(p))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "latin1.psys" in err
+
+
 KEYWORD_SYSTEM = """\
 system keywords
 vars log lambda def

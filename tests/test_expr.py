@@ -29,6 +29,7 @@ from casinv.expr import (
     parse,
     random_point,
     random_rational,
+    sample_points,
     substitute,
     symbol,
     zero_verdict,
@@ -220,10 +221,29 @@ def test_zero_verdict_ln_nonzero_has_witness():
 
 
 def test_zero_verdict_deterministic():
-    e = parse("ln(x1^2) - 2*ln(x1) + x2 - x2", VS)
-    a = zero_verdict(e, VS, seed=5)
-    b = zero_verdict(e, VS, seed=5)
-    assert a == b
+    # equal seeds give equal verdicts, witness point included
+    for text in ("ln(x1^2) - 2*ln(x1) + x2 - x2", "ln(x1) - ln(x2)"):
+        e = parse(text, VS)
+        a = zero_verdict(e, VS, rng=random.Random(5))
+        b = zero_verdict(e, VS, rng=random.Random(5))
+        assert a == b
+
+
+def test_zero_verdict_counts_usable_points():
+    # zero wherever it is defined, and undefined at every draw with x1 <= 5
+    e = parse("ln(x1 - 5) + ln(x2) - ln(x1*x2 - 5*x2)", VS)
+    rng = random.Random(4)
+    v = zero_verdict(e, VS, samples=20, rng=rng)
+    assert v.status == "probably-zero"
+    assert v.samples == 20
+    replay = random.Random(4)
+    usable = 0
+    draws = 0
+    while usable < 20:
+        draws += 1
+        usable += random_point(VS, None, replay)["x1"] > 5
+    assert draws > 20  # some draws were skipped, and not counted as samples
+    assert rng.getstate() == replay.getstate()
 
 
 # -- parser errors ----------------------------------------------------------
@@ -311,6 +331,18 @@ def test_random_rational_range():
         assert q.denominator <= 128
         seen_nontrivial += q.denominator > 1
     assert seen_nontrivial > 150  # almost never lands on an integer
+
+
+def test_sample_points_stops_at_the_draw_cap():
+    def undefined(pt):
+        raise EvalDomainError("never defined")
+
+    rng = random.Random(2)
+    assert list(sample_points(VS, None, rng, 3, undefined)) == []
+    replay = random.Random(2)
+    for _ in range(50 * 3):
+        random_point(VS, None, replay)
+    assert rng.getstate() == replay.getstate()
 
 
 def test_random_point_respects_domain_signs():

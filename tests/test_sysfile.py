@@ -110,6 +110,11 @@ def test_duplicate_hamiltonian():
     _expect_error(text, "duplicate 'H ='", 5)
 
 
+def test_duplicate_params_after_an_empty_one():
+    text = "system t\nvars x y\nparams\nparams a\nJ[1][2] = x\n"
+    _expect_error(text, "duplicate 'params'", 4)
+
+
 def test_bad_expectation_tag():
     text = "system t\nvars x y\nJ[1][2] = 1\nexpect casimir 1 = x @ guessed\n"
     _expect_error(text, "unknown expectation tag", 4)
