@@ -181,22 +181,23 @@ def test_compile_accepts_keyword_and_log_names():
 
 def test_sample_values_skips_singular_points_in_draw_order():
     exprs = [parse("1/(x - 2)", VS), parse("ln(y - 5)", VS)]
-    replay = random.Random(5)
-    points = [random_point(VS, None, replay) for _ in range(50 * 40)]
-    usable = [pt for pt in points if pt["x"] != 2 and pt["y"] > 5]
-    assert len(usable) < len(points)
-    for cap in (40, 3):
+    for cap in (3, 40):
         rng = random.Random(5)
         draws = list(sample_values(exprs, VS, None, rng, cap))
-        # the first `cap` usable points, in draw order
+        # replay random_point order up to the `cap`-th usable point
+        replay = random.Random(5)
+        usable = []
+        skipped = 0
+        while len(usable) < cap:
+            pt = random_point(VS, None, replay)
+            if pt["x"] != 2 and pt["y"] > 5:
+                usable.append(pt)
+            else:
+                skipped += 1
         assert len(draws) == cap
         for pt, values in zip(usable, draws):
             for e, v in zip(exprs, values):
                 assert math.isclose(v, evaluate(e, pt), rel_tol=1e-12)
         # and no point is drawn after the last one used
-        replay = random.Random(5)
-        taken = 0
-        while taken < cap:
-            pt = random_point(VS, None, replay)
-            taken += pt["x"] != 2 and pt["y"] > 5
         assert rng.getstate() == replay.getstate()
+    assert skipped > 0
