@@ -27,7 +27,6 @@ from .expr import (
     evaluate,
     format_expr,
     parse,
-    substitute,
     zero_verdict,
 )
 from .fixtures import fixture_names, load_fixture
@@ -80,7 +79,6 @@ __all__ = [
     "parse_system",
     "quadrature_cost",
     "solve_gamma",
-    "substitute",
     "zero_verdict",
     "__version__",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import zlib
 from pathlib import Path
@@ -376,6 +377,28 @@ def cmd_cost(args) -> int:
 # -- entry point ------------------------------------------------------------------
 
 
+def sample_count(text: str) -> int:
+    """--samples: an integer >= 1; a check over no sample point passes vacuously."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def tolerance(text: str) -> float:
+    """--tol: a finite number > 0; under nan or inf every sampled value passes as zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casinv",
@@ -388,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("system", help="path to a system file, or a bundled system name")
         sp.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
         sp.add_argument(
-            "--samples", type=int, default=20, help="points per numeric check (default 20)"
+            "--samples", type=sample_count, default=20, help="points per numeric check (default 20)"
         )
         sp.add_argument(
-            "--tol", type=float, default=1e-9, help="numeric zero tolerance (default 1e-9)"
+            "--tol", type=tolerance, default=1e-9, help="numeric zero tolerance (default 1e-9)"
         )
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -429,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=None, help="dimension n")
     sp.add_argument("--rank", type=int, default=None, help="rank 2m")
     sp.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
-    sp.add_argument("--tol", type=float, default=1e-9, help=argparse.SUPPRESS)
+    sp.add_argument("--tol", type=tolerance, default=1e-9, help=argparse.SUPPRESS)
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.set_defaults(func=cmd_cost)
 

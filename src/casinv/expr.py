@@ -49,7 +49,6 @@ __all__ = [
     "compile_exprs",
     "differentiate",
     "evaluate",
-    "substitute",
     "zero_verdict",
     "free_symbols",
     "symbol",
@@ -399,28 +398,6 @@ def _involves(e: Expr, name: str) -> bool:
     return False
 
 
-def substitute(e: Expr, mapping: dict) -> Expr:
-    """Replace symbols by expressions, re-normalizing the result."""
-    mapping = {k: _as_expr(v) for k, v in mapping.items()}
-    return _subs_poly(e.num, mapping) / _subs_poly(e.den, mapping)
-
-
-def _subs_poly(p: Poly, mapping: dict) -> Expr:
-    total = EXPR_ZERO
-    for m, c in sorted(p.terms.items(), key=lambda mc: MONO_SORT_KEY(mc[0])):
-        term = _as_expr(c)
-        for a, e in m:
-            if isinstance(a, str):
-                base = mapping.get(a)
-                if base is None:
-                    base = symbol(a)
-            else:
-                base = ln_of(substitute(a.arg, mapping))
-            term = term * base ** e
-        total = total + term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -604,10 +581,6 @@ class ZeroVerdict:
     @property
     def is_nonzero(self) -> bool:
         return self.status == "nonzero"
-
-    @property
-    def accepts_zero(self) -> bool:
-        return self.status in ("zero", "probably-zero")
 
 
 def zero_verdict(

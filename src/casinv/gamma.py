@@ -6,9 +6,13 @@ every dependent row i of the structure matrix satisfies
     J[i][j] = sum_k gamma[i][k] * J[k][j]        for all columns j,
 
 with k running over the pivot rows.  Restricting j to the pivot columns
-gives a square linear system that pins gamma down; the remaining columns
-are then a theorem, not a choice, so we recheck the relation on all n
-columns and refuse to hand back coefficients that fail anywhere.
+gives a square linear system that pins gamma down.  The relation is kept as
+the vector w_i = e_i - sum_k gamma[i][k] e_k, the coefficients of row i's
+Pfaffian form w_i . dx: for a skew J the relation says J w_i = 0, so w_i is
+a kernel vector of J, just as grad(C) is for a Casimir C.  The columns
+outside the pivot block are then a theorem, not a choice, so we recheck
+J w_i = 0 on all n components and refuse to hand back coefficients that
+fail anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .expr import Expr, zero_verdict
+from .expr import EXPR_ONE, EXPR_ZERO, Expr, zero_verdict
 from .linalg import SingularMatrixError, solve_exact
 from .matrix import PivotDecomposition, StructureMatrix
 
@@ -32,21 +36,26 @@ class GammaCertificationError(Exception):
 
 @dataclass(frozen=True)
 class GammaMatrix:
-    """Coefficients gamma[i][k] tying dependent row i to pivot row k (0-based keys)."""
+    """The degeneracy relations, one kernel vector of J per dependent row (0-based).
+
+    forms[d] belongs to dependent_rows[d]: 1 in its own slot, -gamma[i][k]
+    in pivot slot k, 0 elsewhere.  At rank 0 every row is dependent and its
+    form is a unit vector.
+    """
 
     pivot_rows: tuple
     dependent_rows: tuple
-    coeffs: dict  # (dep, pivot) -> Expr
+    forms: tuple  # one n-tuple of Exprs per dependent row
     sampled_columns: tuple  # (dep+1, col+1) pairs certified only numerically
 
     def coefficient(self, dep: int, pivot: int) -> Expr:
-        return self.coeffs[(dep, pivot)]
+        return -self.forms[self.dependent_rows.index(dep)][pivot]
 
     def items_1based(self):
         """((dep, pivot), coefficient) with 1-based indices, deterministic order."""
-        for dep in self.dependent_rows:
+        for dep, w in zip(self.dependent_rows, self.forms):
             for k in self.pivot_rows:
-                yield (dep + 1, k + 1), self.coeffs[(dep, k)]
+                yield (dep + 1, k + 1), -w[k]
 
 
 def solve_gamma(
@@ -56,39 +65,46 @@ def solve_gamma(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> GammaMatrix:
-    """Solve for the degeneracy coefficients and certify them on every column."""
+    """Solve for the degeneracy coefficients and certify them on every column.
+
+    mat must be skew (as every from_upper matrix is): the residual of row
+    i's relation at column j, J[i][j] - sum_k gamma[i][k] J[k][j], is then
+    -(J w_i)[j], and that is what is certified.
+    """
     pivots = decomp.pivot_rows
     deps = decomp.dependent_rows
     r = decomp.rank
-    if r == 0 or not deps:
-        return GammaMatrix(pivots, deps, {}, ())
+    solutions = [()] * len(deps)
+    if r and deps:
+        # unknowns x_k per dependent row: sum_k J[k][q] x_k = J[i][q] for pivot
+        # columns q; the coefficient matrix is the transposed pivot block
+        a_t = [[decomp.pivot_block[k][q] for k in range(r)] for q in range(r)]
+        rhs = [[mat.rows[i][q] for q in pivots] for i in deps]
+        try:
+            solutions = solve_exact(a_t, rhs)
+        except SingularMatrixError as e:
+            # cannot happen with a certified pivot determinant; keep the trail anyway
+            raise GammaCertificationError(
+                deps[0] + 1, 0, f"pivot block went singular during the solve: {e}"
+            ) from e
 
-    # unknowns x_k per dependent row: sum_k J[k][q] x_k = J[i][q] for pivot
-    # columns q; the coefficient matrix is the transposed pivot block
-    a_t = [[decomp.pivot_block[k][q] for k in range(r)] for q in range(r)]
-    rhs = [[mat.rows[i][q] for q in pivots] for i in deps]
-    try:
-        solutions = solve_exact(a_t, rhs)
-    except SingularMatrixError as e:
-        # cannot happen with a certified pivot determinant; keep the trail anyway
-        raise GammaCertificationError(
-            deps[0] + 1, 0, f"pivot block went singular during the solve: {e}"
-        ) from e
-
-    coeffs = {}
-    for di, i in enumerate(deps):
-        for ki, k in enumerate(pivots):
-            coeffs[(i, k)] = solutions[di][ki]
+    forms = []
+    for i, sol in zip(deps, solutions):
+        w = [EXPR_ZERO] * mat.n
+        w[i] = EXPR_ONE
+        for k, g in zip(pivots, sol):
+            w[k] = -g
+        forms.append(tuple(w))
+    if r == 0:
+        return GammaMatrix(pivots, deps, tuple(forms), ())
 
     # certification on all n columns
     sampled = []
-    for i in deps:
-        for j in range(mat.n):
-            residual = mat.rows[i][j]
-            for k in pivots:
-                residual = residual - coeffs[(i, k)] * mat.rows[k][j]
-            if residual.is_zero():
+    for i, w in zip(deps, forms):
+        for j, jw in enumerate(mat.apply(w)):
+            if jw.is_zero():
                 continue
+            residual = -jw
             rng = random.Random(f"gamma-cert:{seed}:{i}:{j}")
             v = zero_verdict(
                 residual, mat.symbols, mat.domain, samples=samples, tol=tol, rng=rng
@@ -101,4 +117,4 @@ def solve_gamma(
                     f"residual {residual} is not zero",
                 )
             sampled.append((i + 1, j + 1))
-    return GammaMatrix(pivots, deps, coeffs, tuple(sampled))
+    return GammaMatrix(pivots, deps, tuple(forms), tuple(sampled))

@@ -4,9 +4,10 @@ Each dependent row i of the structure matrix gives a differential form
 
     w_i = dx_i - sum_k gamma[i][k] dx_k      (k over pivot rows)
 
-whose kernel contains the flow for every Hamiltonian, so any potential C
-with dC proportional to w_i is an invariant.  The job here is to make some
-multiple of w_i exact and integrate it:
+whose coefficients are the kernel vector of J that solve_gamma stores in
+GammaMatrix.forms.  Its kernel contains the flow for every Hamiltonian, so
+any potential C with dC proportional to w_i is an invariant.  The job here
+is to make some multiple of w_i exact and integrate it:
 
 1. w_i itself is closed: integrate directly.
 2. A single integrating factor eta works: eta is a product of integer
@@ -61,11 +62,9 @@ from .verify import gradient_rank
 __all__ = [
     "NonElementaryError",
     "IntegrationError",
-    "PfaffianForm",
     "IntegratingFactor",
     "CasimirResult",
     "IntegrationResult",
-    "build_forms",
     "exactness_defects",
     "find_eta",
     "antiderivative",
@@ -81,12 +80,6 @@ class NonElementaryError(Exception):
 
 class IntegrationError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class PfaffianForm:
-    dep_row: int  # 0-based
-    coeffs: tuple  # length n, Expr per variable; own slot carries 1
 
 
 @dataclass(frozen=True)
@@ -110,20 +103,7 @@ class CasimirResult:
 class IntegrationResult:
     casimirs: tuple
     target: int  # expected count: n - rank
-    forms: tuple
     notes: tuple
-
-
-def build_forms(mat: StructureMatrix, decomp: PivotDecomposition, gammas: GammaMatrix) -> tuple:
-    n = mat.n
-    out = []
-    for i in decomp.dependent_rows:
-        coeffs = [EXPR_ZERO] * n
-        coeffs[i] = EXPR_ONE
-        for k in decomp.pivot_rows:
-            coeffs[k] = -gammas.coeffs[(i, k)]
-        out.append(PfaffianForm(i, tuple(coeffs)))
-    return tuple(out)
 
 
 def exactness_defects(coeffs, symbols: VariableSet) -> dict:
@@ -394,7 +374,7 @@ def _combination_solutions(forms, defect_map, symbols: VariableSet, domain, seed
 
     def rows_at(value):
         x = [value(e) for e in xs]
-        w = [[value(c) for c in form.coeffs] for form in forms]
+        w = [[value(c) for c in form] for form in forms]
         d = [{ab: value(e) for ab, e in defect_map[fi].items()} for fi in range(nf)]
         rows = []
         for a, b in itertools.combinations(range(n), 2):
@@ -428,8 +408,8 @@ def _combination_solutions(forms, defect_map, symbols: VariableSet, domain, seed
         for v in range(n):
             acc = EXPR_ZERO
             for fi in range(nf):
-                if not mults[fi].is_zero() and not forms[fi].coeffs[v].is_zero():
-                    acc = acc + mults[fi] * forms[fi].coeffs[v]
+                if not mults[fi].is_zero() and not forms[fi][v].is_zero():
+                    acc = acc + mults[fi] * forms[fi][v]
             combined.append(acc)
         if all(c.is_zero() for c in combined):
             continue
@@ -457,31 +437,30 @@ def integrate_all(
         gammas = solve_gamma(mat, decomp, seed=seed)
     symbols = mat.symbols
     target = mat.n - decomp.rank
-    forms = build_forms(mat, decomp, gammas)
+    forms = gammas.forms
+    rows = decomp.dependent_rows_1based
 
     notes: list = []
     candidates = []
     pending = []
     defect_map = {}
-    for fi, form in enumerate(forms):
-        defects = exactness_defects(form.coeffs, symbols)
+    for fi, (row, form) in enumerate(zip(rows, forms)):
+        defects = exactness_defects(form, symbols)
         defect_map[fi] = defects
-        factor = find_eta(form.coeffs, symbols, mat.domain, seed=seed, defects=defects)
+        factor = find_eta(form, symbols, mat.domain, seed=seed, defects=defects)
         if factor is None:
             pending.append(fi)
-            notes.append(
-                f"row {form.dep_row + 1}: no single integrating factor, deferred to combinations"
-            )
+            notes.append(f"row {row}: no single integrating factor, deferred to combinations")
             continue
         if factor.expr == EXPR_ONE:
-            scaled = list(form.coeffs)
+            scaled = list(form)
         else:
-            scaled = [factor.expr * c for c in form.coeffs]
+            scaled = [factor.expr * c for c in form]
         c_expr = integrate_closed(scaled, symbols)
         candidates.append(
             CasimirResult(
                 expr=normalize_invariant(c_expr, symbols),
-                rows=(form.dep_row + 1,),
+                rows=(row,),
                 provenance=factor.provenance,
                 eta=factor.expr,
                 multipliers=(),
@@ -497,11 +476,7 @@ def integrate_all(
             except NonElementaryError as e:
                 notes.append(f"combination skipped: {e}")
                 continue
-            row_mults = tuple(
-                (forms[fi].dep_row + 1, mults[fi])
-                for fi in range(len(forms))
-                if not mults[fi].is_zero()
-            )
+            row_mults = tuple((r, m) for r, m in zip(rows, mults) if not m.is_zero())
             candidates.append(
                 CasimirResult(
                     expr=normalize_invariant(c_expr, symbols),
@@ -529,4 +504,4 @@ def integrate_all(
             f"expected {target} independent invariant(s) for rank {decomp.rank}, "
             f"but only {len(kept)} could be integrated"
         )
-    return IntegrationResult(tuple(kept), target, forms, tuple(notes))
+    return IntegrationResult(tuple(kept), target, tuple(notes))

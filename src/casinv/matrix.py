@@ -150,8 +150,23 @@ class StructureMatrix:
     def n(self) -> int:
         return self.symbols.n
 
-    def entry(self, i: int, j: int) -> Expr:
-        return self.rows[i][j]
+    def apply(self, vec) -> tuple:
+        """J * vec, each component summed in column order.
+
+        Only products of two nonzero factors are formed.  This is the one
+        matrix-vector product: J * grad(C) for the bracket components, and
+        J * w_i for the degeneracy relations, whose forms w_i are kernel
+        vectors of J.
+        """
+        live = [(j, v) for j, v in enumerate(vec) if not v.is_zero()]
+        out = []
+        for row in self.rows:
+            acc = EXPR_ZERO
+            for j, v in live:
+                if not row[j].is_zero():
+                    acc = acc + row[j] * v
+            out.append(acc)
+        return tuple(out)
 
     # -- structural checks -----------------------------------------------------
 

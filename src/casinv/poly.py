@@ -363,20 +363,16 @@ def _prem(f: Poly, g: Poly, a) -> Poly:
 # -- gcd ---------------------------------------------------------------------
 
 
-def _int_gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 def int_primitive(f: Poly) -> Poly:
     """Scale f to integer coefficients with content 1 and positive leading coeff."""
     if f.is_zero():
         return f
     den_l = 1
     for c in f.terms.values():
-        den_l = den_l * c.denominator // _int_gcd(den_l, c.denominator)
+        den_l = den_l * c.denominator // math.gcd(den_l, c.denominator)
     num_g = 0
     for c in f.terms.values():
-        num_g = _int_gcd(num_g, abs(c.numerator))
+        num_g = math.gcd(num_g, abs(c.numerator))
     scale = Fraction(den_l, num_g)
     out = f.scale(scale)
     _, lc = out.leading()

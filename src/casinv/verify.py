@@ -66,15 +66,7 @@ def gradient(e: Expr, symbols: VariableSet) -> tuple:
 
 def bracket_components(mat: StructureMatrix, e: Expr) -> tuple:
     """Components of J * grad(e); all zero exactly when e is an invariant."""
-    g = gradient(e, mat.symbols)
-    out = []
-    for i in range(mat.n):
-        acc = EXPR_ZERO
-        for j in range(mat.n):
-            if not mat.rows[i][j].is_zero() and not g[j].is_zero():
-                acc = acc + mat.rows[i][j] * g[j]
-        out.append(acc)
-    return tuple(out)
+    return mat.apply(gradient(e, mat.symbols))
 
 
 @dataclass(frozen=True)
@@ -106,13 +98,15 @@ def casimir_check(
         else:
             sampled.append(i + 1)
 
-    rng = random.Random(f"casimir-num:{seed}")
+    # a proved invariant has no live component and draws no point
     live = [c for c in comps if not c.is_zero()]
     worst = 0.0
     done = 0
-    for vals in sample_values(live, mat.symbols, mat.domain, rng, samples):
-        done += 1
-        worst = max([worst, *map(abs, vals)])
+    if live:
+        rng = random.Random(f"casimir-num:{seed}")
+        for vals in sample_values(live, mat.symbols, mat.domain, rng, samples):
+            done += 1
+            worst = max([worst, *map(abs, vals)])
     return CasimirCheck(
         symbolic_ok=not failed,
         failed_components=tuple(failed),
@@ -128,15 +122,12 @@ def degeneracy_residual(
     points: int = 20,
     seed: int = 0,
 ) -> float:
-    """Worst |J[i][j] - sum_k gamma[i][k] J[k][j]| over dependent rows and points."""
-    residuals = []
-    for i in gammas.dependent_rows:
-        for j in range(mat.n):
-            r = mat.rows[i][j]
-            for k in gammas.pivot_rows:
-                r = r - gammas.coeffs[(i, k)] * mat.rows[k][j]
-            if not r.is_zero():
-                residuals.append(r)
+    """Worst |(J w_i)[j]| over the forms w_i of gammas, components j and points.
+
+    For a skew mat, -(J w_i)[j] is the relation residual
+    J[i][j] - sum_k gamma[i][k] J[k][j], with the same absolute value.
+    """
+    residuals = [c for w in gammas.forms for c in mat.apply(w) if not c.is_zero()]
     if not residuals:
         return 0.0
     rng = random.Random(f"degeneracy:{seed}")

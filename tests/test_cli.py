@@ -120,6 +120,60 @@ def test_unsampleable_matrix_is_computation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+LN_JACOBI = (
+    "system lnjac\nvars x1 x2 x3 x4\nJ[2][3] = 1\n"
+    "J[3][4] = x4 + x3*(ln(x2*x3) - ln(x2) - ln(x3)) + x3*ln(x2)\n"
+)
+
+
+def test_ln_jacobi_failure_is_found_by_sampling(tmp_path, capsys):
+    p = tmp_path / "lnjac.psys"
+    p.write_text(LN_JACOBI)
+    for budget in ([], ["--samples", "1"]):
+        code, out, _ = run(capsys, "validate", str(p), *budget)
+        assert code == 1
+        assert "jacobi: fails at triple (2,3,4)" in out
+
+
+BAD_BUDGETS = [
+    ["--samples", "0"],
+    ["--samples=-3"],
+    ["--samples", "2.5"],
+    ["--tol", "nan"],
+    ["--tol", "inf"],
+    ["--tol", "0"],
+    ["--tol=-1e-9"],
+]
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=" ".join)
+def test_vacuous_sampling_budget_is_usage_error(tmp_path, capsys, budget):
+    # with no sample point or no usable tolerance the ln Jacobi failure would pass
+    p = tmp_path / "lnjac.psys"
+    p.write_text(LN_JACOBI)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(p), *budget])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert budget[0].split("=")[0] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "so3", *budget]
+        for command in ("rank", "gamma", "casimirs", "verify", "all")
+        for budget in (["--samples", "0"], ["--tol", "nan"])
+    ]
+    + [["cost", "--dim", "3", "--rank", "2", "--tol", "0"]],
+    ids=" ".join,
+)
+def test_every_subcommand_rejects_vacuous_budgets(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_json_report_is_valid(capsys):
     code, out, _ = run(capsys, "all", "lv3-j1", "--json")
     assert code == 0

@@ -30,9 +30,9 @@ from casinv.expr import (
     random_point,
     random_rational,
     sample_points,
-    substitute,
     symbol,
     zero_verdict,
+    _reduce,
 )
 
 VS = VariableSet(("x1", "x2", "x3"), ("a", "b", "c"))
@@ -94,9 +94,9 @@ def test_print_parse_round_trip(src):
 
 @pytest.mark.parametrize("src", CORPUS)
 def test_normalize_is_idempotent(src):
-    # rebuilding the canonical form from scratch (substitute re-normalizes)
+    # reducing a canonical numerator and denominator again changes nothing
     e = parse(src, VS)
-    assert substitute(e, {}) == e
+    assert _reduce(e.num, e.den) == e
 
 
 @pytest.mark.parametrize("src", CORPUS)
@@ -210,7 +210,6 @@ def test_zero_verdict_ln_identity_is_probably_zero():
     v = zero_verdict(parse("ln(x1*x2) - ln(x1) - ln(x2)", VS), VS)
     assert v.status == "probably-zero"
     assert v.samples == 20
-    assert v.accepts_zero
 
 
 def test_zero_verdict_ln_nonzero_has_witness():
@@ -288,19 +287,7 @@ def test_ln_requires_parentheses():
         parse("ln x1", VS)
 
 
-# -- substitution and structure ----------------------------------------------
-
-
-def test_substitute_polynomial():
-    e = parse("x1^2 + x1*x2", VS)
-    out = substitute(e, {"x1": parse("x2*x3", VS)})
-    assert out == parse("x2^2*x3^2 + x2^2*x3", VS)
-
-
-def test_substitute_reaches_into_ln():
-    e = parse("ln(x1) + x3", VS)
-    out = substitute(e, {"x1": parse("x2^2", VS)})
-    assert out == parse("ln(x2^2) + x3", VS)
+# -- structure ----------------------------------------------------------------
 
 
 def test_free_symbols_sees_ln_arguments():

@@ -1,11 +1,16 @@
 """Degeneracy coefficients: solved from the pivot block, certified everywhere."""
 
+from pathlib import Path
+
 import pytest
 
-from casinv.expr import zero_verdict
+from casinv.expr import EXPR_ONE, zero_verdict
 from casinv.fixtures import fixture_names, load_fixture
 from casinv.gamma import GammaCertificationError, solve_gamma
 from casinv.matrix import PivotDecomposition
+from casinv.sysfile import load_system
+
+SYSTEMS = sorted((Path(__file__).parent / "systems").glob("*.psys"))
 
 
 def test_fixture_gammas_match_expectations():
@@ -41,11 +46,26 @@ def test_fixture_certification_needs_no_sampling():
         assert gammas.sampled_columns == (), name
 
 
+def test_forms_are_unit_kernel_vectors_of_j():
+    systems = [load_fixture(name) for name in fixture_names()]
+    systems += [load_system(path) for path in SYSTEMS]
+    assert len(systems) == 10
+    for sys_ in systems:
+        mat = sys_.matrix
+        gammas = solve_gamma(mat, mat.decompose())
+        assert len(gammas.forms) == len(gammas.dependent_rows), sys_.name
+        for i, w in zip(gammas.dependent_rows, gammas.forms):
+            assert w[i] == EXPR_ONE, (sys_.name, i + 1)
+            others = [k for k in range(mat.n) if k != i and not w[k].is_zero()]
+            assert set(others) <= set(gammas.pivot_rows), (sys_.name, i + 1)
+            assert all(c.is_zero() for c in mat.apply(w)), (sys_.name, i + 1)
+
+
 def test_full_rank_system_has_no_gammas():
     sys_ = load_fixture("symplectic2")
     decomp = sys_.matrix.decompose()
     gammas = solve_gamma(sys_.matrix, decomp)
-    assert gammas.coeffs == {}
+    assert gammas.forms == ()
     assert list(gammas.items_1based()) == []
 
 

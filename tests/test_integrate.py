@@ -20,7 +20,6 @@ from casinv.integrate import (
     IntegrationError,
     NonElementaryError,
     antiderivative,
-    build_forms,
     exactness_defects,
     find_eta,
     integrate_all,
@@ -277,19 +276,6 @@ def test_null_matrix_every_coordinate_is_invariant():
     assert result.target == 2
     assert [c.expr for c in result.casimirs] == [parse("u", vs), parse("v", vs)]
     assert all(c.provenance == "not-needed" for c in result.casimirs)
-
-
-def test_build_forms_unit_own_coefficient():
-    sys_ = load_fixture("lv3-j1")
-    decomp = sys_.matrix.decompose()
-    from casinv.gamma import solve_gamma
-
-    gammas = solve_gamma(sys_.matrix, decomp)
-    (form,) = build_forms(sys_.matrix, decomp, gammas)
-    assert form.dep_row == 2
-    assert form.coeffs[2] == EXPR_ONE
-    for k in decomp.pivot_rows:
-        assert form.coeffs[k] == -gammas.coefficient(2, k)
 
 
 def test_integrate_all_deterministic():

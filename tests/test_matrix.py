@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casinv.expr import (
+    EXPR_ONE,
     EXPR_ZERO,
     Domain,
     VariableSet,
@@ -35,9 +36,9 @@ def upper3(**entries) -> StructureMatrix:
 
 def test_from_upper_builds_skew():
     mat = upper3(e12="x3", e13="-x2", e23="x1")
-    assert mat.entry(0, 1) == parse("x3", VS3)
-    assert mat.entry(1, 0) == parse("-x3", VS3)
-    assert mat.entry(2, 2).is_zero()
+    assert mat.rows[0][1] == parse("x3", VS3)
+    assert mat.rows[1][0] == parse("-x3", VS3)
+    assert mat.rows[2][2].is_zero()
     assert mat.check_skew() == []
 
 
@@ -105,20 +106,25 @@ def dense_jacobi_report(mat, samples=20, tol=1e-9, seed=0):
     return JacobiReport(not failures, len(triples), tuple(failures), tuple(sampled))
 
 
+def sparse_polys(n):
+    """Text of one or two monomials of degree at most 4 in x1..xn."""
+    factor = st.tuples(st.integers(1, n), st.integers(1, 2))
+    monomial = st.tuples(st.sampled_from([-2, -1, 1, 3]), st.lists(factor, max_size=2))
+    return st.lists(monomial, min_size=1, max_size=2).map(
+        lambda terms: " + ".join(f"({c})" + "".join(f"*x{v}^{e}" for v, e in fs) for c, fs in terms)
+    )
+
+
 @st.composite
 def sparse_skew_matrices(draw):
     """Skew matrices with sparse polynomial entries in 3-6 variables."""
     n = draw(st.integers(3, 6))
     vs = VariableSet(tuple(f"x{t + 1}" for t in range(n)), ())
-    factor = st.tuples(st.integers(1, n), st.integers(1, 2))
-    monomial = st.tuples(st.sampled_from([-2, -1, 1, 3]), st.lists(factor, max_size=2))
     upper = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         if draw(st.booleans()):
             continue
-        terms = draw(st.lists(monomial, min_size=1, max_size=2))
-        text = " + ".join(f"({c})" + "".join(f"*x{v}^{e}" for v, e in fs) for c, fs in terms)
-        upper[(i, j)] = parse(text, vs)
+        upper[(i, j)] = parse(draw(sparse_polys(n)), vs)
     return StructureMatrix.from_upper(vs, upper)
 
 
@@ -126,6 +132,43 @@ def sparse_skew_matrices(draw):
 @given(sparse_skew_matrices(), st.integers(0, 50))
 def test_jacobi_report_matches_dense_reference(mat, seed):
     assert mat.jacobi_report(seed=seed) == dense_jacobi_report(mat, seed=seed)
+
+
+def draw_vector(data, mat):
+    """Vector of zeros, sparse polynomials and quotients with a linear denominator."""
+    n = mat.n
+    quotient = st.tuples(sparse_polys(n), st.integers(1, n), st.integers(1, 3)).map(
+        lambda t: f"({t[0]})/(x{t[1]} + {t[2]})"
+    )
+    entry = st.one_of(st.just("0"), sparse_polys(n), quotient)
+    texts = data.draw(st.lists(entry, min_size=n, max_size=n))
+    return [parse(t, mat.symbols) for t in texts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_skew_matrices(), st.data())
+def test_apply_matches_dense_product(mat, data):
+    vec = draw_vector(data, mat)
+    dense = tuple(
+        sum((mat.rows[i][j] * vec[j] for j in range(mat.n)), EXPR_ZERO) for i in range(mat.n)
+    )
+    assert mat.apply(vec) == dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_skew_matrices(), st.data())
+def test_apply_negated_is_the_row_relation_residual(mat, data):
+    # w = e_i - sum_k gamma_k e_k; for a skew J, -(J w)_j = J[i][j] - sum_k gamma_k J[k][j]
+    i = data.draw(st.integers(0, mat.n - 1))
+    w = draw_vector(data, mat)
+    w[i] = EXPR_ONE
+    gamma = {k: -w[k] for k in range(mat.n) if k != i}
+    jw = mat.apply(w)
+    for j in range(mat.n):
+        residual = mat.rows[i][j]
+        for k, g in gamma.items():
+            residual = residual - g * mat.rows[k][j]
+        assert -jw[j] == residual, j + 1
 
 
 VS4 = VariableSet(("x1", "x2", "x3", "x4"), ())

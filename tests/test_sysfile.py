@@ -34,8 +34,8 @@ def test_parse_happy_path():
     assert sys_.name == "demo"
     assert sys_.symbols.variables == ("x1", "x2", "x3")
     assert sys_.symbols.parameters == ("c",)
-    assert sys_.matrix.entry(0, 1) == parse("c*x3", sys_.symbols)
-    assert sys_.matrix.entry(1, 0) == parse("-c*x3", sys_.symbols)
+    assert sys_.matrix.rows[0][1] == parse("c*x3", sys_.symbols)
+    assert sys_.matrix.rows[1][0] == parse("-c*x3", sys_.symbols)
     assert sys_.hamiltonian == parse("1/2*x1^2", sys_.symbols)
     assert sys_.matrix.domain.declared == {"x1": "+"}
 

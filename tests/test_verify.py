@@ -54,6 +54,8 @@ def test_casimir_check_accepts_reference():
     assert chk.symbolic_ok
     assert chk.failed_components == ()
     assert chk.max_residual < 1e-12
+    # every component is proved zero, so no point is drawn
+    assert chk.samples == 0
 
 
 def test_casimir_check_rejects_non_invariant():
@@ -62,6 +64,7 @@ def test_casimir_check_rejects_non_invariant():
     assert not chk.symbolic_ok
     assert chk.failed_components
     assert chk.max_residual > 1e-3
+    assert chk.samples == 30
 
 
 def test_degeneracy_residual_small_on_all_fixtures():
