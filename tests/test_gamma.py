@@ -49,7 +49,7 @@ def test_fixture_certification_needs_no_sampling():
 def test_forms_are_unit_kernel_vectors_of_j():
     systems = [load_fixture(name) for name in fixture_names()]
     systems += [load_system(path) for path in SYSTEMS]
-    assert len(systems) == 10
+    assert len(systems) == 12
     for sys_ in systems:
         mat = sys_.matrix
         gammas = solve_gamma(mat, mat.decompose())
