@@ -9,11 +9,13 @@ GammaMatrix.forms.  Its kernel contains the flow for every Hamiltonian, so
 any potential C with dC proportional to w_i is an invariant.  The job here
 is to make some multiple of w_i exact and integrate it:
 
-1. w_i itself is closed: integrate directly.
+1. w_i itself is closed (every defect, formed over the active variables
+   only, is canonically zero): integrate directly.
 2. A single integrating factor eta works: eta is a product of integer
    powers of factors read off the coefficients and of the variables.
    Closedness of eta * w_i is linear in the exponents, so they are solved
-   for, and the eta found is certified symbolically.
+   for, and the eta found is certified by its potential: integrate_closed
+   must reconstruct C with dC = eta * w_i exactly.
 3. No single form can be fixed up (the obstruction w ^ dw != 0): closed
    combinations sum_i mu_i w_i are sought with each mu_i affine in the
    variables, again by solving the closedness conditions for the unknowns.
@@ -51,7 +53,6 @@ from .expr import (
     random_rational,
     sample_points,
     symbol,
-    zero_verdict,
 )
 from .gamma import GammaMatrix, solve_gamma
 from .linalg import nullspace_fractions
@@ -84,10 +85,13 @@ class IntegrationError(Exception):
 
 @dataclass(frozen=True)
 class IntegratingFactor:
+    """eta with eta * w exact, certified by its potential: d(potential) = eta * w."""
+
     expr: Expr
     # not-needed: eta = 1; reciprocal-coefficient: a product of at most two
     # factors read off the coefficients; monomial-search: any other product
     provenance: str
+    potential: Expr
 
 
 @dataclass(frozen=True)
@@ -106,28 +110,27 @@ class IntegrationResult:
     notes: tuple
 
 
+def _active(coeffs, names) -> tuple:
+    """The variables some coefficient involves, and the indices of the active ones.
+
+    x_a is active when its coefficient is nonzero or some coefficient involves
+    it; a defect with an inactive member is identically zero.
+    """
+    involved = [v for v in names if any(_involves(c, v) for c in coeffs)]
+    return involved, [a for a, v in enumerate(names) if v in involved or not coeffs[a].is_zero()]
+
+
 def exactness_defects(coeffs, symbols: VariableSet) -> dict:
-    """d[a,b] = d(coeffs[b])/dx_a - d(coeffs[a])/dx_b for a < b; all zero iff closed."""
+    """d[a,b] = d(coeffs[b])/dx_a - d(coeffs[a])/dx_b for active a < b; all zero iff closed.
+
+    Pairs with an inactive member are omitted: their defect is identically zero.
+    """
     names = symbols.variables
-    n = len(names)
-    out = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            out[(a, b)] = differentiate(coeffs[b], names[a], symbols) - differentiate(
-                coeffs[a], names[b], symbols
-            )
-    return out
-
-
-def _defects_vanish(defects, symbols, domain, seed) -> bool:
-    for (a, b), d in sorted(defects.items()):
-        if d.is_zero():
-            continue
-        rng = random.Random(f"closed:{seed}:{a}:{b}")
-        v = zero_verdict(d, symbols, domain, rng=rng)
-        if v.is_nonzero:
-            return False
-    return True
+    return {
+        (a, b): differentiate(coeffs[b], names[a], symbols)
+        - differentiate(coeffs[a], names[b], symbols)
+        for a, b in itertools.combinations(_active(coeffs, names)[1], 2)
+    }
 
 
 # -- integrating factor search -------------------------------------------------
@@ -156,11 +159,6 @@ def _factor_pool(coeffs) -> list:
             if rest is not None and len(rest.terms) > 1:
                 add(_from_poly(poly.int_primitive(rest)))
     return pool
-
-
-def _certify_eta(eta, coeffs, symbols, domain, seed) -> bool:
-    scaled = [eta * c for c in coeffs]
-    return _defects_vanish(exactness_defects(scaled, symbols), symbols, domain, seed)
 
 
 def _poly_value(p: Poly, values: dict, rng) -> Fraction:
@@ -206,27 +204,27 @@ def find_eta(
     seed: int = 0,
     defects: dict | None = None,
 ) -> IntegratingFactor | None:
-    """Integrating factor for the 1-form with the given coefficients, or None.
+    """Integrating factor for the 1-form with the given coefficients, and its potential.
 
-    Returns eta = 1 with provenance "not-needed" when the form is already
-    closed.  Otherwise eta = prod f_k^e_k over factors read off the
-    coefficients and the variables they involve; eta * w is closed iff
+    Returns eta = 1 with provenance "not-needed" when every defect is
+    canonically zero; a potential outside the supported class then raises
+    NonElementaryError.  Otherwise eta = prod f_k^e_k over factors read off
+    the coefficients and the variables they involve; eta * w is closed iff
 
         d[a,b] + sum_k e_k (c_b df_k/dx_a - c_a df_k/dx_b) / f_k = 0
 
     for every pair a < b, which is linear in the exponents.  Imposed at
-    random points it is solved exactly; an integer solution is certified
-    symbolically before being returned.
+    random points it is solved exactly.  An integer solution is returned
+    only if integrate_closed finds a potential C with dC = eta * w exactly,
+    which certifies it; otherwise the result is None.
     """
-    domain = domain or Domain()
     if defects is None:
         defects = exactness_defects(coeffs, symbols)
-    if _defects_vanish(defects, symbols, domain, seed):
-        return IntegratingFactor(EXPR_ONE, "not-needed")
+    if all(d.is_zero() for d in defects.values()):
+        return IntegratingFactor(EXPR_ONE, "not-needed", integrate_closed(coeffs, symbols))
 
     names = symbols.variables
-    involved = [v for v in names if any(_involves(c, v) for c in coeffs)]
-    active = [a for a, v in enumerate(names) if v in involved or not coeffs[a].is_zero()]
+    involved, active = _active(coeffs, names)
     pool = _factor_pool(coeffs)
     # parameters and parameter-only factors have zero gradient; variables once
     factors = [
@@ -249,7 +247,7 @@ def find_eta(
         ]
 
     rng = random.Random(f"eta:{seed}")
-    rows = _sampled_rows(rows_at, len(factors) + 1, len(active), symbols, domain, rng)
+    rows = _sampled_rows(rows_at, len(factors) + 1, len(active), symbols, domain or Domain(), rng)
     # the basis vector of the free defect column is RREF's particular solution
     sol = next((v for v in nullspace_fractions(rows or []) if v[-1]), None)
     if sol is None or any(e.denominator != 1 for e in sol):
@@ -258,10 +256,14 @@ def find_eta(
     eta = EXPR_ONE
     for f, e in used:
         eta = eta * f**e
-    if not _certify_eta(eta, coeffs, symbols, domain, seed):
+    try:
+        potential = integrate_closed([eta * c for c in coeffs], symbols)
+    except NonElementaryError:
         return None
     from_pool = len(used) <= 2 and all(f in pool for f, _ in used)
-    return IntegratingFactor(eta, "reciprocal-coefficient" if from_pool else "monomial-search")
+    return IntegratingFactor(
+        eta, "reciprocal-coefficient" if from_pool else "monomial-search", potential
+    )
 
 
 # -- potential reconstruction ---------------------------------------------------
@@ -360,7 +362,7 @@ def normalize_invariant(e: Expr, symbols: VariableSet) -> Expr:
 # -- closed combinations of several forms ----------------------------------------
 
 
-def _combination_solutions(forms, defect_map, symbols: VariableSet, domain, seed):
+def _combination_solutions(forms, defect_maps, symbols: VariableSet, domain, seed):
     """Closed combinations sum_f mu_f w_f with each mu_f affine in the variables.
 
     Closedness is linear in the mu coefficients; imposed exactly at random
@@ -375,12 +377,12 @@ def _combination_solutions(forms, defect_map, symbols: VariableSet, domain, seed
     def rows_at(value):
         x = [value(e) for e in xs]
         w = [[value(c) for c in form] for form in forms]
-        d = [{ab: value(e) for ab, e in defect_map[fi].items()} for fi in range(nf)]
+        d = [{ab: value(e) for ab, e in dm.items()} for dm in defect_maps]
         rows = []
         for a, b in itertools.combinations(range(n), 2):
             row = []
             for fi in range(nf):
-                dab = d[fi][(a, b)]
+                dab = d[fi].get((a, b), 0)  # an omitted pair's defect is zero
                 # mu_f = alpha + sum_v beta_v x_v: the alpha column, then one per beta_v
                 row.append(dab)
                 for v in range(n):
@@ -442,24 +444,15 @@ def integrate_all(
 
     notes: list = []
     candidates = []
-    pending = []
-    defect_map = {}
-    for fi, (row, form) in enumerate(zip(rows, forms)):
-        defects = exactness_defects(form, symbols)
-        defect_map[fi] = defects
+    defect_maps = [exactness_defects(form, symbols) for form in forms]
+    for row, form, defects in zip(rows, forms, defect_maps):
         factor = find_eta(form, symbols, mat.domain, seed=seed, defects=defects)
         if factor is None:
-            pending.append(fi)
             notes.append(f"row {row}: no single integrating factor, deferred to combinations")
             continue
-        if factor.expr == EXPR_ONE:
-            scaled = list(form)
-        else:
-            scaled = [factor.expr * c for c in form]
-        c_expr = integrate_closed(scaled, symbols)
         candidates.append(
             CasimirResult(
-                expr=normalize_invariant(c_expr, symbols),
+                expr=normalize_invariant(factor.potential, symbols),
                 rows=(row,),
                 provenance=factor.provenance,
                 eta=factor.expr,
@@ -467,8 +460,8 @@ def integrate_all(
             )
         )
 
-    if pending:
-        solutions = _combination_solutions(forms, defect_map, symbols, mat.domain, seed)
+    if len(candidates) < len(forms):  # some row was deferred
+        solutions = _combination_solutions(forms, defect_maps, symbols, mat.domain, seed)
         notes.append(f"combination stage: {len(solutions)} closed combination(s)")
         for combined, mults in solutions:
             try:

@@ -12,16 +12,22 @@ first differing exponent decides (bigger exponent wins).  This is a proper
 monomial order (multiplicative, with 1 minimal), which exact division and the
 GCD routines below rely on.
 
-GCD is the classical primitive polynomial-remainder-sequence algorithm:
-recurse on the largest atom, split content from primitive part, and run a
-pseudo-remainder Euclid on the primitive parts.  Slow in theory, entirely
-adequate for the small expressions this package manipulates.
+GCD first tries to certify that the inputs are coprime, the common case: for
+each atom both contain, it fixes the other atoms at seeded values modulo a
+word-size prime and checks that the two univariate images keep their degree
+and are coprime.  A common factor of positive degree in that atom would
+survive into both images, so passing for every shared atom proves the gcd
+is 1.  Otherwise it falls back to the classical primitive
+polynomial-remainder sequence: recurse on the largest atom, split content
+from primitive part, and run a pseudo-remainder Euclid on the primitive
+parts, removing integer content at each step so coefficients stay small.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from fractions import Fraction
 
 F0 = Fraction(0)
@@ -395,6 +401,60 @@ def _content_pp(f: Poly, a):
     return cont, join_by_atom(pp, a)
 
 
+_PRIME = 2**31 - 1
+# the k-th atom in atom_key order takes _POINTS[k % 64]; any values are sound
+_POINTS = tuple(random.Random("poly.gcd").sample(range(1, _PRIME), 64))
+
+
+def _image(f: Poly, a, value: dict) -> list:
+    """Coefficients mod _PRIME, by degree, of f in `a` with every other atom set to value[atom]."""
+    out = [0] * (f.degree_in(a) + 1)
+    for m, c in f.terms.items():
+        e, t = 0, c.numerator
+        for at, ee in m:
+            if at == a:
+                e = ee
+            else:
+                t = t * pow(value[at], ee, _PRIME)
+        out[e] = (out[e] + t) % _PRIME
+    return out
+
+
+def _coprime_mod_p(u: list, v: list) -> bool:
+    """Whether two univariate polynomials mod _PRIME (coefficients by degree) are coprime."""
+    while v:
+        inv = pow(v[-1], -1, _PRIME)
+        while len(u) >= len(v):
+            q = u[-1] * inv % _PRIME
+            shift = len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] = (u[shift + i] - q * c) % _PRIME
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(u) == 1
+
+
+def certify_coprime(f: Poly, g: Poly) -> bool:
+    """True only if the nonzero integer polynomials f and g are coprime.
+
+    For every atom both contain, the other atoms are fixed at seeded values
+    mod _PRIME.  A common factor of positive degree in that atom keeps its
+    degree in both images whenever both leading coefficients survive, so
+    coprime images for every shared atom prove gcd(f, g) = 1.  False means
+    only that this test could not tell.
+    """
+    fatoms, gatoms = f.atoms(), g.atoms()
+    atoms = sorted(fatoms | gatoms, key=atom_key)
+    value = {a: _POINTS[k % len(_POINTS)] for k, a in enumerate(atoms)}
+    for a in atoms:
+        if a in fatoms and a in gatoms:
+            fa, ga = _image(f, a, value), _image(g, a, value)
+            if not fa[-1] or not ga[-1] or not _coprime_mod_p(fa, ga):
+                return False
+    return True
+
+
 def gcd(f: Poly, g: Poly) -> Poly:
     """GCD normalized to integer-primitive form with positive leading coefficient."""
     if f.is_zero():
@@ -407,6 +467,8 @@ def gcd(f: Poly, g: Poly) -> Poly:
         return _ONE
     if f == g:
         return f
+    if certify_coprime(f, g):
+        return _ONE
     universe = f.atoms() | g.atoms()
     a = max(universe, key=atom_key)
     cf, pf = _content_pp(f, a)
@@ -426,7 +488,7 @@ def gcd(f: Poly, g: Poly) -> Poly:
         if R.is_zero():
             A, B = B, _ZERO
         else:
-            A, B = B, _content_pp(R, a)[1]
+            A, B = B, int_primitive(_content_pp(R, a)[1])
     return int_primitive(c * h)
 
 

@@ -5,7 +5,10 @@ are sharp: literal equality where the normalized output is pinned down,
 gradient parallelism where only the level sets are.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casinv.expr import (
     EXPR_ONE,
@@ -13,6 +16,7 @@ from casinv.expr import (
     Domain,
     VariableSet,
     differentiate,
+    free_symbols,
     parse,
 )
 from casinv.fixtures import load_fixture
@@ -99,11 +103,53 @@ def test_exact_form_has_zero_defects():
     assert all(d.is_zero() for d in exactness_defects(coeffs, VS).values())
 
 
-def test_defect_keys_cover_all_pairs():
+def dense_defects(coeffs, symbols):
+    """Reference: the defect of every pair a < b, zero or not."""
+    names = symbols.variables
+    return {
+        (a, b): differentiate(coeffs[b], names[a], symbols)
+        - differentiate(coeffs[a], names[b], symbols)
+        for a, b in itertools.combinations(range(len(names)), 2)
+    }
+
+
+def test_defect_keys_are_the_active_pairs():
+    # z has a zero coefficient and no coefficient involves it
     coeffs = (E("y"), E("0"), E("0"))
     d = exactness_defects(coeffs, VS)
-    assert sorted(d) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(d) == [(0, 1)]
     assert d[(0, 1)] == E("-1")
+
+
+@st.composite
+def forms(draw):
+    """1-forms in 3-5 variables: zero, polynomial and quotient coefficients."""
+    n = draw(st.integers(3, 5))
+    vs = VariableSet(tuple(f"x{t + 1}" for t in range(n)), ())
+    var = st.integers(1, n).map(lambda v: f"x{v}")
+    monomial = st.tuples(st.sampled_from([-2, 1, 3]), st.lists(var, max_size=2))
+    poly_text = st.lists(monomial, min_size=1, max_size=2).map(
+        lambda terms: " + ".join(f"({c})" + "".join(f"*{v}" for v in fs) for c, fs in terms)
+    )
+    quotient = st.tuples(poly_text, var, st.integers(1, 3)).map(
+        lambda t: f"({t[0]})/({t[1]} + {t[2]})"
+    )
+    texts = draw(st.lists(st.one_of(st.just("0"), poly_text, quotient), min_size=n, max_size=n))
+    return tuple(parse(t, vs) for t in texts), vs
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms())
+def test_sparse_defects_match_dense_reference(form):
+    coeffs, vs = form
+    names = vs.variables
+    involved = set().union(*(free_symbols(c) for c in coeffs))
+    active = [a for a, v in enumerate(names) if v in involved or not coeffs[a].is_zero()]
+    sparse = exactness_defects(coeffs, vs)
+    dense = dense_defects(coeffs, vs)
+    assert list(sparse) == list(itertools.combinations(active, 2))
+    for ab, d in dense.items():
+        assert sparse.get(ab, EXPR_ZERO) == d, ab
 
 
 def test_integrate_closed_recovers_potential():
@@ -122,11 +168,19 @@ def test_integrate_closed_rejects_open_form():
 # -- integrating factor search -----------------------------------------------------
 
 
+def assert_potential(factor, coeffs, vs):
+    """The factor's potential is exact: dC = eta * w, term by term."""
+    for v, c in zip(vs.variables, coeffs):
+        assert differentiate(factor.potential, v, vs) == factor.expr * c, v
+
+
 def test_eta_not_needed_for_closed_form():
-    factor = find_eta((E("y"), E("x"), E("0")), VS)
+    coeffs = (E("y"), E("x"), E("0"))
+    factor = find_eta(coeffs, VS)
     assert factor is not None
     assert factor.provenance == "not-needed"
     assert factor.expr == EXPR_ONE
+    assert_potential(factor, coeffs, VS)
 
 
 def test_eta_from_coefficient_factors():
@@ -138,6 +192,7 @@ def test_eta_from_coefficient_factors():
     assert factor.expr == E("z")
     scaled = [factor.expr * c for c in coeffs]
     assert all(d.is_zero() for d in exactness_defects(scaled, VS).values())
+    assert_potential(factor, coeffs, VS)
 
 
 def test_eta_none_when_form_is_not_integrable():
@@ -155,6 +210,7 @@ def test_eta_from_variable_monomial_search():
     assert factor is not None
     assert factor.provenance == "monomial-search"
     assert factor.expr == parse("x1*x2*x3", vs)
+    assert_potential(factor, (c, c, c), vs)
 
 
 def test_eta_exponent_is_solved_not_enumerated():
@@ -163,6 +219,14 @@ def test_eta_exponent_is_solved_not_enumerated():
     factor = find_eta(coeffs, VS)
     assert factor is not None
     assert factor.expr == E("z^3")
+    assert_potential(factor, coeffs, VS)
+
+
+def test_eta_without_supported_potential_is_refused():
+    # eta = 1/z closes the form, but its potential -1/(x^2 + y) needs an
+    # antiderivative in x through a denominator mixing x-powers
+    coeffs = (E("2*x*z/(x^2 + y)^2"), E("z/(x^2 + y)^2"), EXPR_ZERO)
+    assert find_eta(coeffs, VS) is None
 
 
 def test_eta_search_is_deterministic():
@@ -170,6 +234,7 @@ def test_eta_search_is_deterministic():
     a = find_eta(coeffs, VS, seed=7)
     b = find_eta(coeffs, VS, seed=7)
     assert a == b
+    assert_potential(a, coeffs, VS)
 
 
 # -- normalization ------------------------------------------------------------------

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from casinv.expr import VariableSet, parse
 from casinv.poly import (
+    _PRIME,
     Poly,
+    certify_coprime,
     div_exact,
     gcd,
     int_primitive,
@@ -183,6 +186,45 @@ def test_gcd_three_variables():
     f = common * (X + ONE)
     g = common * (Y * Z - X)
     assert gcd(f, g) == common
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), polys())
+def test_coprimality_certificate_refuses_a_shared_factor(f, g, h):
+    assume(not f.is_zero() and not g.is_zero() and not h.is_const())
+    assert not certify_coprime(int_primitive(f * h), int_primitive(g * h))
+
+
+def test_coprimality_certificate_settles_coprime_inputs():
+    assert certify_coprime(X * Y + Z, X * X - Y)
+    assert certify_coprime(X + ONE, Y + ONE)  # no shared atom
+    assert certify_coprime(Z + X, Z + Y)  # the images in z need x and y apart
+    assert not certify_coprime((X + Y) * Z, (X + Y) * (Z + ONE))
+
+
+def test_coprimality_certificate_needs_the_leading_coefficient():
+    # h = p*y + 1 loses its y-degree mod the certificate's prime p, so the
+    # images in y are constants; only the degree check stops a false "coprime"
+    h = Y.scale(_PRIME) + ONE
+    assert not certify_coprime(h * X, h * (X + ONE))
+    assert gcd(h * X, h * (X + ONE)) == h
+
+
+def test_six_variable_sum_of_quotients_reduces_quickly():
+    # this sum once ran past 30 s: the PRS kept the integer content of every
+    # remainder, and coprime pairs paid for the whole recursive content
+    vs = VariableSet(tuple(f"x{i}" for i in range(1, 7)))
+    e = parse(
+        "(2*x2*x4 + 2*x5^2)*(3*x4^2*x5^2 - 2)/(x6 + 2)"
+        " + (3*x3*x4 - x1)*(-x2^2*x3^2)/(x4 + 2)",
+        vs,
+    )
+    assert e.den == parse("(x4 + 2)*(x6 + 2)", vs).num
+    want = parse(
+        "(2*x2*x4 + 2*x5^2)*(3*x4^2*x5^2 - 2)*(x4 + 2) + (3*x3*x4 - x1)*(-x2^2*x3^2)*(x6 + 2)",
+        vs,
+    )
+    assert e.num == want.num
 
 
 def test_int_primitive():
