@@ -47,6 +47,7 @@ __all__ = [
     "parse",
     "format_expr",
     "compile_exprs",
+    "python_source",
     "differentiate",
     "evaluate",
     "zero_verdict",
@@ -822,6 +823,11 @@ def format_expr(e: Expr) -> str:
     return _format(e)
 
 
+def python_source(e: Expr, py: dict) -> str:
+    """Python source of e's float value, symbols renamed by py; ln is `log`."""
+    return repr(float(e.const_value())) if e.is_constant() else _format(e, py)
+
+
 def compile_exprs(exprs, symbols: VariableSet):
     """Fast float evaluator: a function of the symbols' values, returning a tuple.
 
@@ -830,7 +836,7 @@ def compile_exprs(exprs, symbols: VariableSet):
     named like Python keywords or `log` compile too.
     """
     py = {name: f"_s{i}" for i, name in enumerate(symbols.all_symbols())}
-    parts = [repr(float(e.const_value())) if e.is_constant() else _format(e, py) for e in exprs]
+    parts = [python_source(e, py) for e in exprs]
     tail = "," if len(parts) == 1 else ""
     src = f"def _f({', '.join(py.values())}):\n    return ({', '.join(parts)}{tail})"
     ns = {"log": math.log}

@@ -7,13 +7,16 @@ the solver that produced the candidate:
 * numeric residuals: the same components sampled at random points,
 * dynamic: RK4 trajectories of x' = J * grad(H) must hold C constant to
   tight drift.  The CLI's flow check runs the system's own Hamiltonian;
-  the tests also run random ones from random_polynomial_hamiltonian.
+  the tests also run random ones from random_polynomial_hamiltonian.  Each
+  flow check generates one Python kernel that runs a whole attempt over
+  local floats, so the per-step cost is the arithmetic alone.
 
 Gradient-rank helpers used for independence checks live here too.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -26,9 +29,9 @@ from .expr import (
     EXPR_ZERO,
     Expr,
     VariableSet,
-    compile_exprs,
     differentiate,
     number,
+    python_source,
     sample_values,
     symbol,
     zero_verdict,
@@ -213,27 +216,27 @@ def flow_conservation(
     time at unit scale, where a fixed-step integrator measures nothing but
     its own truncation error, so each trajectory backs off down the scale
     ladder until the whole window [0, t_end] completes: an attempt is
-    abandoned when a declared-positive variable dips below 1e-6 or any
-    coordinate escapes past 1e6.  An attempt that completes with the
-    Hamiltonian drifting by more than FLOW_DRIFT_TOL is retried the same way:
-    H is conserved by construction, so that drift is integrator error, not
-    evidence against any invariant.  The last scale is judged as it comes.
+    abandoned when a declared-positive variable dips below 1e-6, any
+    coordinate escapes past 1e6, or a step leaves the domain of the field
+    or a watched function (overflow, division by zero, ln of a non-positive
+    value).  The attempts run in one kernel from _rk4_kernel, compiled once
+    per call.  An attempt that completes with the Hamiltonian drifting by
+    more than FLOW_DRIFT_TOL is retried the same way: H is conserved by
+    construction, so that drift is integrator error, not evidence against
+    any invariant.  The last scale is judged as it comes.
     Conservation is scale-free, so drift over a completed window at a
     resolvable scale is the honest measurement.  Drift is |f(x_t) - f(x_0)|
     scaled by 1 + |f(x_0)|, maximized over steps and completed trajectories.
     """
     symbols = mat.symbols
     invariants = list(invariants)
-    field = bracket_components(mat, hamiltonian)
-    f_field = compile_exprs(field, symbols)
     watchers = invariants + [hamiltonian]
-    f_watch = compile_exprs(watchers, symbols)
-
     guarded = [
         idx
         for idx, v in enumerate(symbols.variables)
         if mat.domain.guarded_positive(v)
     ]
+    run = _rk4_kernel(bracket_components(mat, hamiltonian), watchers, symbols, guarded)
     rng = random.Random(f"flow:{seed}")
     steps = int(round(t_end / dt))
     drifts = [0.0] * len(watchers)
@@ -244,35 +247,16 @@ def flow_conservation(
         for k, scale in enumerate(scales):
             x = [scale * rng.uniform(1.0, 2.0) for _ in symbols.variables]
             pvals = [scale * rng.uniform(1.0, 2.0) for _ in symbols.parameters]
-            base = f_watch(*x, *pvals)
-            norm = [1.0 + abs(v) for v in base]
-            trial = [0.0] * len(watchers)
-            survived = True
-            for step in range(steps):
-                try:
-                    x = _rk4_step(f_field, x, pvals, dt)
-                except OverflowError:
-                    survived = False
-                else:
-                    if any(x[g] < 1e-6 for g in guarded) or any(abs(v) > 1e6 for v in x):
-                        survived = False
-                if not survived:
-                    aborted.append((traj, round((step + 1) * dt, 12), scale))
-                    break
-                now = f_watch(*x, *pvals)
-                for i, v in enumerate(now):
-                    d = abs(v - base[i]) / norm[i]
-                    if d > trial[i]:
-                        trial[i] = d
-            if survived and trial[-1] > FLOW_DRIFT_TOL and k < len(scales) - 1:
+            done, trial = run(*x, *pvals, dt, steps)
+            if trial is None:
+                aborted.append((traj, round(done * dt, 12), scale))
+                continue
+            if trial[-1] > FLOW_DRIFT_TOL and k < len(scales) - 1:
                 aborted.append((traj, round(steps * dt, 12), scale))
                 continue
-            if survived:
-                completed += 1
-                for i, d in enumerate(trial):
-                    if d > drifts[i]:
-                        drifts[i] = d
-                break
+            completed += 1
+            drifts = [max(d, t) for d, t in zip(drifts, trial)]
+            break
     return FlowResult(
         invariant_drifts=tuple(drifts[: len(invariants)]),
         hamiltonian_drift=drifts[-1],
@@ -283,15 +267,62 @@ def flow_conservation(
     )
 
 
-def _rk4_step(f, x, pvals, h):
-    k1 = f(*x, *pvals)
-    k2 = f(*(xi + 0.5 * h * ki for xi, ki in zip(x, k1)), *pvals)
-    k3 = f(*(xi + 0.5 * h * ki for xi, ki in zip(x, k2)), *pvals)
-    k4 = f(*(xi + h * ki for xi, ki in zip(x, k3)), *pvals)
-    return [
-        xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+def _rk4_kernel(field, watchers, symbols: VariableSet, guarded):
+    """Compile one flow attempt into `_run(*values, h, steps) -> (step, drifts)`.
+
+    `_run` takes the start point and the parameters in symbols.all_symbols()
+    order, then runs up to `steps` RK4 steps of size h along x' = field.
+    After each step it applies the abort guards (a guarded variable below
+    1e-6, any coordinate past 1e6) and tracks each watcher's drift
+    |w(x_t) - w(x_0)| / (1 + |w(x_0)|).  It returns (steps, drifts) for a
+    completed window, and (k, None) for an attempt that ends at step k: by a
+    guard, or by an evaluation that overflows, divides by zero or leaves
+    log's domain (k = 0 when that happens at the start point).
+
+    The body is straight-line code over locals, one name per coordinate and
+    stage, and every float operation is the one the plain loop would do, in
+    its order, so the floats are the same bit for bit; 0.5 * h and h / 6.0
+    are hoisted, since `0.5 * h * k` multiplies them first anyway.  Generated
+    names all start with `_`, which no system identifier can, so no symbol
+    shadows them.
+    """
+    n = symbols.n
+    xs = [f"_s{i}" for i in range(n)]
+    ys = [f"_y{i}" for i in range(n)]
+    ps = [f"_s{n + j}" for j in range(len(symbols.parameters))]
+    m = len(watchers)
+
+    def at(exprs, point):
+        py = dict(zip(symbols.all_symbols(), point + ps))
+        return [python_source(e, py) for e in exprs]
+
+    body = ["_hh = 0.5 * _h", "_h6 = _h / 6.0", "try:"]
+    body += [f"    _b{j} = {src}" for j, src in enumerate(at(watchers, xs))]
+    body += ["except _FAIL:", "    return 0, None"]
+    body += [f"_m{j} = 1.0 + abs(_b{j})" for j in range(m)]
+    body += [f"_t{j} = 0.0" for j in range(m)]
+    body += ["for _i in range(_n):", "    try:"]
+    stage = xs
+    for k, lead in ((1, "_hh"), (2, "_hh"), (3, "_h"), (4, None)):
+        body += [f"        _k{k}_{i} = {src}" for i, src in enumerate(at(field, stage))]
+        if lead:
+            body += [f"        _y{i} = _s{i} + {lead} * _k{k}_{i}" for i in range(n)]
+            stage = ys
+    body += [
+        f"        _s{i} = _s{i} + _h6 * (_k1_{i} + 2.0 * _k2_{i} + 2.0 * _k3_{i} + _k4_{i})"
+        for i in range(n)
     ]
+    escape = [f"_s{g} < 1e-6" for g in guarded] + [f"abs(_s{i}) > 1e6" for i in range(n)]
+    body += [f"        if {' or '.join(escape)}:", "            return _i + 1, None"]
+    body += [f"        _w{j} = {src}" for j, src in enumerate(at(watchers, xs))]
+    body += ["    except _FAIL:", "        return _i + 1, None"]
+    for j in range(m):
+        body += [f"    _d = abs(_w{j} - _b{j}) / _m{j}", f"    if _d > _t{j}:", f"        _t{j} = _d"]
+    body += [f"return _n, ({', '.join(f'_t{j}' for j in range(m))},)"]
+    src = f"def _run({', '.join(xs + ps)}, _h, _n):\n" + "\n".join("    " + line for line in body)
+    ns = {"log": math.log, "_FAIL": (OverflowError, ZeroDivisionError, ValueError)}
+    exec(src, ns)
+    return ns["_run"]
 
 
 def random_polynomial_hamiltonian(

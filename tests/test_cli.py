@@ -263,6 +263,20 @@ def test_flow_retries_unresolved_hamiltonian_drift(capsys):
     assert "#3 at t=1.000 (scale 0.5)" in out
 
 
+@pytest.mark.parametrize("h", ["-1000*y + x*ln(x)", "-1000*y + 1/x"])
+def test_flow_leaving_the_domain_aborts_the_attempt(tmp_path, capsys, h):
+    # x' = -1000 drives x below zero within two steps.  With ln(x) in the
+    # field a stage point raises a math domain error, which ends the attempt
+    # as overflow does; with 1/x the positivity guard ends it after the step
+    p = tmp_path / "drain.psys"
+    p.write_text(f"system drain\nvars x y\ndomain x > 0\ndomain y > 0\nJ[1][2] = 1\nH = {h}\n")
+    code, out, err = run(capsys, "all", str(p), "--flow")
+    assert code == 1
+    assert "flow: 0/5 trajectories" in out
+    assert "#4 at t=0.001 (scale 0.0625)" in out
+    assert "Traceback" not in err
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known flow gap: at this seed the exact Casimir drifts 1.9e-5 under RK4 "

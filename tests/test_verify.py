@@ -17,8 +17,10 @@ from casinv.expr import (
 from casinv.fixtures import fixture_names, load_fixture
 from casinv.gamma import solve_gamma
 from casinv.integrate import integrate_all
+from casinv.sysfile import parse_system
 from casinv.verify import (
     FLOW_DRIFT_TOL,
+    FlowResult,
     bracket_components,
     casimir_check,
     degeneracy_residual,
@@ -204,3 +206,159 @@ def test_sample_values_skips_singular_points_in_draw_order():
         # and no point is drawn after the last one used
         assert rng.getstate() == replay.getstate()
     assert skipped > 0
+
+
+def reference_flow(
+    mat,
+    hamiltonian,
+    invariants,
+    dt=1e-3,
+    t_end=1.0,
+    trajectories=5,
+    seed=0,
+    scales=(1.0, 0.5, 0.25, 0.125, 0.0625),
+):
+    """flow_conservation as a plain per-step loop over compiled evaluators.
+
+    The float operations are the ones the generated kernel must reproduce, in
+    the same order.  An evaluation error or an escape ends the attempt.
+    """
+    symbols = mat.symbols
+    invariants = list(invariants)
+    f_field = compile_exprs(bracket_components(mat, hamiltonian), symbols)
+    watchers = invariants + [hamiltonian]
+    f_watch = compile_exprs(watchers, symbols)
+    guarded = [i for i, v in enumerate(symbols.variables) if mat.domain.guarded_positive(v)]
+    rng = random.Random(f"flow:{seed}")
+    steps = int(round(t_end / dt))
+    drifts = [0.0] * len(watchers)
+    aborted = []
+    completed = 0
+    fail = (OverflowError, ZeroDivisionError, ValueError)
+    for traj in range(trajectories):
+        for k, scale in enumerate(scales):
+            x = [scale * rng.uniform(1.0, 2.0) for _ in symbols.variables]
+            pvals = [scale * rng.uniform(1.0, 2.0) for _ in symbols.parameters]
+            try:
+                base = f_watch(*x, *pvals)
+            except fail:
+                aborted.append((traj, 0.0, scale))
+                continue
+            norm = [1.0 + abs(v) for v in base]
+            trial = [0.0] * len(watchers)
+            survived = True
+            for step in range(steps):
+                try:
+                    x = _rk4_step(f_field, x, pvals, dt)
+                    if any(x[g] < 1e-6 for g in guarded) or any(abs(v) > 1e6 for v in x):
+                        survived = False
+                    else:
+                        now = f_watch(*x, *pvals)
+                except fail:
+                    survived = False
+                if not survived:
+                    aborted.append((traj, round((step + 1) * dt, 12), scale))
+                    break
+                for i, v in enumerate(now):
+                    d = abs(v - base[i]) / norm[i]
+                    if d > trial[i]:
+                        trial[i] = d
+            if survived and trial[-1] > FLOW_DRIFT_TOL and k < len(scales) - 1:
+                aborted.append((traj, round(steps * dt, 12), scale))
+                continue
+            if survived:
+                completed += 1
+                for i, d in enumerate(trial):
+                    if d > drifts[i]:
+                        drifts[i] = d
+                break
+    return FlowResult(
+        invariant_drifts=tuple(drifts[: len(invariants)]),
+        hamiltonian_drift=drifts[-1],
+        trajectories=trajectories,
+        steps_per_trajectory=steps,
+        completed=completed,
+        aborted=tuple(aborted),
+    )
+
+
+def _rk4_step(f, x, pvals, h):
+    k1 = f(*x, *pvals)
+    k2 = f(*(xi + 0.5 * h * ki for xi, ki in zip(x, k1)), *pvals)
+    k3 = f(*(xi + 0.5 * h * ki for xi, ki in zip(x, k2)), *pvals)
+    k4 = f(*(xi + h * ki for xi, ki in zip(x, k3)), *pvals)
+    return [
+        xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
+
+
+FLOW_FIXTURES = ["light-top", "lv3-j1", "lv3-j2", "so3", "symplectic2"]
+
+
+@pytest.mark.parametrize("name", FLOW_FIXTURES)
+def test_flow_matches_reference_loop_on_fixtures(name):
+    # FlowResult == compares the drifts as floats: equal means bit-equal
+    sys_ = load_fixture(name)
+    invariants = [e for e, _tag in sys_.expect.casimirs.values()]
+    for seed in range(5):
+        args = (sys_.matrix, sys_.hamiltonian, invariants)
+        assert flow_conservation(*args, seed=seed) == reference_flow(*args, seed=seed), seed
+
+
+@pytest.mark.parametrize("name", ["lv3-j1", "light-top"])
+def test_flow_matches_reference_loop_on_random_hamiltonians(name):
+    sys_ = load_fixture(name)
+    invariants = [e for e, _tag in sys_.expect.casimirs.values()]
+    for k in range(2):
+        h = random_polynomial_hamiltonian(sys_.symbols, random.Random(f"ham:{k}"))
+        args = (sys_.matrix, h, invariants)
+        assert flow_conservation(*args, seed=k) == reference_flow(*args, seed=k), k
+
+
+def test_flow_matches_reference_loop_through_drift_retries():
+    sys_ = load_fixture("so3")
+    inv = [sys_.expect.casimirs[1][0]]
+    args = (sys_.matrix, sys_.hamiltonian, inv)
+    flow = flow_conservation(*args, dt=0.25, t_end=2.0)
+    assert any(t == 2.0 for _traj, t, _scale in flow.aborted)
+    assert flow == reference_flow(*args, dt=0.25, t_end=2.0)
+
+
+def test_flow_matches_reference_loop_through_blow_up():
+    # x' = x^2 blows up at t = 1/x0, inside the window at unit scale.  One
+    # RK4 step from |x| <= 1e6 stays far below float overflow, so each of
+    # these attempts ends by the 1e6 escape
+    sys_ = parse_system("system blow\nvars x y\nJ[1][2] = x^2\nH = y\n")
+    args = (sys_.matrix, sys_.hamiltonian, [])
+    flow = flow_conservation(*args)
+    assert flow.completed == 5
+    assert {traj for traj, _t, scale in flow.aborted if scale == 1.0} == set(range(5))
+    assert flow == reference_flow(*args)
+
+
+def test_flow_start_point_outside_a_watcher_domain_aborts_at_t0():
+    # ln(x1 - 3) is undefined on every start box scale * [1, 2]
+    sys_ = load_fixture("so3")
+    args = (sys_.matrix, sys_.hamiltonian, [parse("ln(x1 - 3)", sys_.symbols)])
+    flow = flow_conservation(*args, trajectories=2)
+    assert flow.completed == 0
+    assert [t for _traj, t, _scale in flow.aborted] == [0.0] * 10
+    assert flow == reference_flow(*args, trajectories=2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "system clash\nvars h step\nparams steps\nJ[1][2] = steps*h\nH = h^2 + step^2\n",
+        "system clash\nvars lambda log\nparams None\ndomain lambda > 0\n"
+        "J[1][2] = None*lambda\nH = ln(lambda)*log + None*log^2\n",
+    ],
+    ids=["h-step-steps", "lambda-log-None"],
+)
+def test_flow_kernel_names_cannot_clash_with_symbols(text):
+    sys_ = parse_system(text)
+    watched = parse(sys_.symbols.variables[1], sys_.symbols)
+    args = (sys_.matrix, sys_.hamiltonian, [watched])
+    flow = flow_conservation(*args, seed=3)
+    assert flow == reference_flow(*args, seed=3)
