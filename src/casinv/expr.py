@@ -529,8 +529,8 @@ def sample_points(symbols: VariableSet, domain: Domain | None, rng: random.Rando
 
     This is the one draw loop behind every sampled check.  Points come from
     random_point in draw order; a point where `at` raises ZeroDivisionError,
-    ValueError or EvalDomainError (a zero denominator, ln of a non-positive
-    value) is skipped.  At most 50 * want points are drawn, so fewer than
+    ValueError, EvalDomainError or OverflowError (a zero denominator, ln of a
+    non-positive value, a float power past the largest double) is skipped.  At most 50 * want points are drawn, so fewer than
     `want` values mean too few points were usable.  No point is drawn after
     the last value is taken, and callers may stop early by leaving the loop.
     """
@@ -539,7 +539,7 @@ def sample_points(symbols: VariableSet, domain: Domain | None, rng: random.Rando
         point = random_point(symbols, domain, rng)
         try:
             value = at(point)
-        except (ZeroDivisionError, ValueError, EvalDomainError):
+        except (ZeroDivisionError, ValueError, EvalDomainError, OverflowError):
             continue
         yield value
         left -= 1

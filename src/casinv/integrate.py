@@ -21,7 +21,9 @@ is to make some multiple of w_i exact and integrate it:
    variables, again by solving the closedness conditions for the unknowns.
 
 Both searches impose their linear conditions exactly at random rational
-points and solve the resulting Fraction system (_sampled_rows).
+points (_sampled_rows) and take the nullspace of the resulting rational
+system with nullspace_fractions, which solves it modulo a prime and
+certifies the basis exactly.
 
 Potentials are reconstructed variable by variable (integrate in x1, correct
 the remainder, move on).  The antiderivative routine covers denominators

@@ -277,6 +277,18 @@ def test_flow_leaving_the_domain_aborts_the_attempt(tmp_path, capsys, h):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flow", [[], ["--flow"]])
+def test_sample_overflow_skips_the_point(tmp_path, capsys, flow):
+    # x^400 overflows a double for x > 5.9, where sampled points often land;
+    # such points are skipped like ones outside the domain
+    p = tmp_path / "steep.psys"
+    p.write_text("system steep\nvars x y z\nJ[1][2] = x^400\n")
+    code, out, err = run(capsys, "all", str(p), *flow)
+    assert code == 0
+    assert "casimir 1 (rows 3, not-needed, eta = 1):\n  z\n" in out
+    assert "Traceback" not in err
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known flow gap: at this seed the exact Casimir drifts 1.9e-5 under RK4 "

@@ -332,6 +332,18 @@ def test_sample_points_stops_at_the_draw_cap():
     assert rng.getstate() == replay.getstate()
 
 
+def test_sample_points_skips_overflow_within_the_draw_cap():
+    draws = 0
+
+    def overflows(pt):
+        nonlocal draws
+        draws += 1
+        raise OverflowError("float power out of range")
+
+    assert list(sample_points(VS, None, random.Random(2), 3, overflows)) == []
+    assert draws == 50 * 3
+
+
 def test_random_point_respects_domain_signs():
     rng = random.Random(1)
     dom = Domain({"x1": "+", "x2": "-"})

@@ -2,17 +2,22 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casinv import linalg
 from casinv.expr import EXPR_ONE, EXPR_ZERO, VariableSet, number, parse
+from casinv.fixtures import fixture_names, load_fixture
+from casinv.integrate import integrate_all
 from casinv.linalg import (
     SingularMatrixError,
     det_exact,
     nullspace_fractions,
     solve_exact,
 )
+from casinv.sysfile import load_system
 
 VS = VariableSet(("x", "y", "z"), ("a",))
 
@@ -220,3 +225,85 @@ def test_nullspace_annihilates_and_has_full_dimension(m):
             assert sum(c * x for c, x in zip(row, v)) == 0
     if basis:
         assert _rank([list(v) for v in basis]) == len(basis)
+
+
+# -- the mod-p nullspace against the Fraction reduction --------------------------------
+
+P = linalg._PRIME
+reference = linalg._nullspace_rref  # Gauss-Jordan over Fractions, the fallback
+
+
+@st.composite
+def _sampled_like(draw):
+    """A tall rank-deficient B*C with denominators 16-128, repeated rows and zero columns."""
+    ncols = draw(st.integers(2, 8))
+    k = draw(st.integers(1, ncols - 1))
+    nrows = draw(st.integers(k, 12))
+    frac = st.builds(Fraction, st.integers(-9, 9), st.integers(16, 128))
+    b = [[draw(frac) for _ in range(k)] for _ in range(nrows)]
+    c = [[draw(frac) for _ in range(ncols)] for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in c:
+            row[j] = Fraction(0)
+    m = [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(ncols)] for i in range(nrows)]
+    m += [list(m[i]) for i in draw(st.lists(st.integers(0, nrows - 1), max_size=4))]
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sampled_like())
+def test_nullspace_matches_fraction_rref(m):
+    assert nullspace_fractions(m) == reference(m, len(m[0]))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(rows)
+        return reference(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_nullspace_rref", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # a row denominator divisible by p
+        ([[Fraction(1, P), Fraction(1)]], [(Fraction(-P), Fraction(1))]),
+        # 40000 is past the reconstruction bound isqrt(p // 2) = 32767
+        ([[Fraction(1), Fraction(-40000)]], [(Fraction(40000), Fraction(1))]),
+        # singular mod p only: the candidate (1, 0) fails the exact check
+        ([[Fraction(P), Fraction(1)], [Fraction(0), Fraction(1)]], []),
+    ],
+)
+def test_nullspace_falls_back_to_the_fraction_rref(fallbacks, rows, expected):
+    assert nullspace_fractions(rows) == expected == reference(rows, len(rows[0]))
+    assert len(fallbacks) == 1
+
+
+def test_nullspace_full_rank_mod_p_needs_no_fallback(fallbacks):
+    rows = [[Fraction(2), Fraction(1, 3)], [Fraction(1), Fraction(1)], [Fraction(3), Fraction(4, 3)]]
+    assert nullspace_fractions(rows) == [] == reference(rows, 2)
+    assert fallbacks == []
+
+
+def test_pipeline_systems_never_fall_back(fallbacks, monkeypatch):
+    # a nullspace that always fell back would pass every parity test above
+    reductions = []
+    rref_mod_p = linalg._rref_mod_p
+
+    def counted(m, width):
+        reductions.append(width)
+        return rref_mod_p(m, width)
+
+    monkeypatch.setattr(linalg, "_rref_mod_p", counted)
+    systems = [load_fixture(name) for name in fixture_names()]
+    systems += [load_system(p) for p in sorted((Path(__file__).parent / "systems").glob("*.psys"))]
+    for sys_ in systems:
+        if sys_.expect.jacobi_ok is not False:
+            integrate_all(sys_.matrix)
+    assert len(reductions) >= 10
+    assert fallbacks == []
