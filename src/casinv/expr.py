@@ -530,9 +530,10 @@ def sample_points(symbols: VariableSet, domain: Domain | None, rng: random.Rando
     This is the one draw loop behind every sampled check.  Points come from
     random_point in draw order; a point where `at` raises ZeroDivisionError,
     ValueError, EvalDomainError or OverflowError (a zero denominator, ln of a
-    non-positive value, a float power past the largest double) is skipped.  At most 50 * want points are drawn, so fewer than
-    `want` values mean too few points were usable.  No point is drawn after
-    the last value is taken, and callers may stop early by leaving the loop.
+    non-positive value, a float power past the largest double) is skipped.
+    At most 50 * want points are drawn, so fewer than `want` values mean too
+    few points were usable.  No point is drawn after the last value is
+    taken, and callers may stop early by leaving the loop.
     """
     left = want
     for _ in range(50 * want):
