@@ -503,28 +503,33 @@ def _eval_poly(p: Poly, values: dict):
 # sampling and the zero verdict
 
 
-def random_rational(rng: random.Random) -> Fraction:
+def random_rational(rng: random.Random, exact: bool = True):
     d = rng.randint(16, 128)
-    return Fraction(rng.randint(d, 10 * d), d)
+    n = rng.randint(d, 10 * d)
+    # int / int rounds correctly, as Fraction.__float__ does: the float of the exact draw
+    return Fraction(n, d) if exact else n / d
 
 
 def random_point(
     symbols: VariableSet,
     domain: Domain | None = None,
     rng: random.Random | None = None,
+    exact: bool = True,
 ) -> dict:
-    """Generic rational point: variables obey domain signs, parameters positive."""
+    """Generic point: variables obey domain signs, parameters positive; Fractions if exact."""
     rng = rng or random.Random(0)
     domain = domain or Domain()
     values = {}
     for name in symbols.variables:
-        values[name] = domain.sample_sign(name) * random_rational(rng)
+        values[name] = domain.sample_sign(name) * random_rational(rng, exact)
     for name in symbols.parameters:
-        values[name] = random_rational(rng)
+        values[name] = random_rational(rng, exact)
     return values
 
 
-def sample_points(symbols: VariableSet, domain: Domain | None, rng: random.Random, want: int, at):
+def sample_points(
+    symbols: VariableSet, domain: Domain | None, rng: random.Random, want: int, at, exact=True
+):
     """Yield at(point) at the first `want` random points where `at` is defined.
 
     This is the one draw loop behind every sampled check.  Points come from
@@ -537,7 +542,7 @@ def sample_points(symbols: VariableSet, domain: Domain | None, rng: random.Rando
     """
     left = want
     for _ in range(50 * want):
-        point = random_point(symbols, domain, rng)
+        point = random_point(symbols, domain, rng, exact)
         try:
             value = at(point)
         except (ZeroDivisionError, ValueError, EvalDomainError, OverflowError):
@@ -551,13 +556,10 @@ def sample_points(symbols: VariableSet, domain: Domain | None, rng: random.Rando
 def sample_values(exprs, symbols: VariableSet, domain: Domain | None, rng: random.Random, points: int):
     """Float values of exprs at up to `points` sample points where all are defined.
 
-    The expressions are compiled once and drawn through sample_points.
+    The expressions are compiled once and drawn through sample_points as floats.
     """
     f = compile_exprs(exprs, symbols)
-    names = symbols.all_symbols()
-    return sample_points(
-        symbols, domain, rng, points, lambda pt: f(*(float(pt[name]) for name in names))
-    )
+    return sample_points(symbols, domain, rng, points, lambda pt: f(*pt.values()), exact=False)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,17 @@ points (_sampled_rows) and take the nullspace of the resulting rational
 system with nullspace_fractions, which solves it modulo a prime and
 certifies the basis exactly.
 
+Of the invariants found, the first n - rank independent ones are kept.
+dC = lam * sum_f m_f w_f, where lam is the nonzero, variable-free scale that
+normalize_invariant applies and m_f is eta at the candidate's own row (0 at
+the others) or the combination's mu_f.  Each w_f has 1 in its own dependent
+slot and 0 in the others, so the invariants are independent exactly when
+their multiplier rows are.  The rows are evaluated modulo the prime at one
+seeded point and reduced in turn: a row that stays nonzero has a nonzero
+minor there, so it is independent as a function; an unlucky point can only
+drop a candidate, never admit a dependent one.  A multiplier with an ln atom
+has no residue: from there on the sampled gradient_rank vote decides.
+
 Potentials are reconstructed variable by variable (integrate in x1, correct
 the remainder, move on).  The antiderivative routine covers denominators
 that are monomial in the integration variable or linear in it; anything
@@ -34,6 +45,7 @@ wilder raises rather than guessing.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,9 +69,9 @@ from .expr import (
     symbol,
 )
 from .gamma import GammaMatrix, solve_gamma
-from .linalg import nullspace_fractions
+from .linalg import _rref_mod_p, nullspace_fractions
 from .matrix import PivotDecomposition, StructureMatrix
-from .poly import Poly
+from .poly import _PRIME, Poly
 from .verify import gradient_rank
 
 __all__ = [
@@ -118,8 +130,9 @@ def _active(coeffs, names) -> tuple:
     x_a is active when its coefficient is nonzero or some coefficient involves
     it; a defect with an inactive member is identically zero.
     """
-    involved = [v for v in names if any(_involves(c, v) for c in coeffs)]
-    return involved, [a for a, v in enumerate(names) if v in involved or not coeffs[a].is_zero()]
+    found = set().union(*map(free_symbols, coeffs))
+    involved = [v for v in names if v in found]
+    return involved, [a for a, v in enumerate(names) if v in found or not coeffs[a].is_zero()]
 
 
 def exactness_defects(coeffs, symbols: VariableSet) -> dict:
@@ -421,6 +434,61 @@ def _combination_solutions(forms, defect_maps, symbols: VariableSet, domain, see
     return solutions
 
 
+# -- independence ----------------------------------------------------------------
+
+
+def _residue(e: Expr, point: dict) -> int:
+    """e mod _PRIME at an integer point; KeyError on an ln atom, ValueError where undefined."""
+
+    def value(p: Poly) -> int:
+        return sum(
+            c.numerator * pow(c.denominator, -1, _PRIME)
+            * math.prod(pow(point[a], k, _PRIME) for a, k in m)
+            for m, c in p.terms.items()
+        )
+
+    return value(e.num) * pow(value(e.den), -1, _PRIME) % _PRIME
+
+
+def _joins(basis: list, row: list) -> bool:
+    """Whether row is independent of basis mod _PRIME; if so it joins basis, kept in RREF."""
+    trial = basis + [row]
+    if len(_rref_mod_p(trial, len(row))) < len(trial):
+        return False
+    basis[:] = trial
+    return True
+
+
+def _independent(candidates, target, rows, symbols: VariableSet, domain, seed) -> list:
+    """The first candidates, up to target, independent of those kept before them.
+
+    Proved from the multiplier rows mod _PRIME (see the module docstring); from
+    the first multiplier without a residue on, gradient_rank's vote decides.
+    """
+    rng = random.Random(f"independence:{seed}")
+    point = {s: rng.randrange(1, _PRIME) for s in symbols.all_symbols()}
+    basis, kept = [], []
+    for cand in candidates:
+        if len(kept) == target:
+            break
+        if cand.expr.is_zero():
+            continue
+        if basis is not None:
+            mults = dict(cand.multipliers) if cand.eta is None else {cand.rows[0]: cand.eta}
+            try:
+                row = [_residue(mults.get(r, EXPR_ZERO), point) for r in rows]
+            except (KeyError, ValueError):  # an ln atom, or a pole mod _PRIME
+                basis = None
+        if basis is None:
+            trial = [c.expr for c in kept] + [cand.expr]
+            independent = gradient_rank(trial, symbols, domain, seed=seed) == len(trial)
+        else:
+            independent = _joins(basis, row)
+        if independent:
+            kept.append(cand)
+    return kept
+
+
 # -- orchestration ---------------------------------------------------------------
 
 
@@ -482,18 +550,7 @@ def integrate_all(
                 )
             )
 
-    kept = []
-    kept_exprs = []
-    for cand in candidates:
-        if len(kept) == target:
-            break
-        if cand.expr.is_zero():
-            continue
-        trial = kept_exprs + [cand.expr]
-        if gradient_rank(trial, symbols, mat.domain, seed=seed) == len(trial):
-            kept.append(cand)
-            kept_exprs.append(cand.expr)
-
+    kept = _independent(candidates, target, rows, symbols, mat.domain, seed)
     if len(kept) < target:
         raise IntegrationError(
             f"expected {target} independent invariant(s) for rank {decomp.rank}, "

@@ -11,7 +11,9 @@ the solver that produced the candidate:
   flow check generates one Python kernel that runs a whole attempt over
   local floats, so the per-step cost is the arithmetic alone.
 
-Gradient-rank helpers used for independence checks live here too.
+The sampled gradient-rank vote lives here too.  integrate_all proves
+independence from the multipliers modulo a prime instead, and votes only
+from the first multiplier it cannot reduce that way (an ln atom).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "flow_conservation",
     "gradient",
     "gradient_rank",
-    "gradients_parallel",
     "random_polynomial_hamiltonian",
 ]
 
@@ -162,28 +163,6 @@ def gradient_rank(
     if not ranks:
         raise VerificationError("no usable sample points for the gradient rank")
     return Counter(ranks).most_common(1)[0][0]
-
-
-def gradients_parallel(
-    a: Expr,
-    b: Expr,
-    symbols: VariableSet,
-    domain: Domain | None = None,
-    points: int = 10,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> bool:
-    """True when grad(a) and grad(b) are proportional at every sample point."""
-    grads = gradient(a, symbols) + gradient(b, symbols)
-    rng = random.Random(f"parallel:{seed}")
-    done = 0
-    for v in sample_values(grads, symbols, domain, rng, points):
-        done += 1
-        if numeric_rank(np.array(v).reshape(2, symbols.n), tol) != 1:
-            return False
-    if done == 0:
-        raise VerificationError("no usable sample points for the parallel check")
-    return True
 
 
 # -- flow conservation ---------------------------------------------------------

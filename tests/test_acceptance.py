@@ -22,9 +22,9 @@ from casinv.verify import (
     degeneracy_residual,
     flow_conservation,
     gradient_rank,
-    gradients_parallel,
     random_polynomial_hamiltonian,
 )
+from gradients import gradients_parallel
 
 import random
 

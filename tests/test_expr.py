@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from casinv.expr import (
     AlgebraError,
@@ -342,6 +343,22 @@ def test_sample_points_skips_overflow_within_the_draw_cap():
 
     assert list(sample_points(VS, None, random.Random(2), 3, overflows)) == []
     assert draws == 50 * 3
+
+
+_sign = st.sampled_from([None, "+", "-"])
+
+
+@given(st.integers(0, 2**64), _sign, _sign, _sign)
+def test_float_draws_are_the_exact_draws_rounded(seed, s1, s2, s3):
+    dom = Domain({v: s for v, s in zip(VS.variables, (s1, s2, s3)) if s})
+    exact, floats = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        want = {k: float(v) for k, v in random_point(VS, dom, exact).items()}
+        got = random_point(VS, dom, floats, exact=False)
+        assert list(got) == list(want) == list(VS.all_symbols())
+        assert all(type(v) is float and v == want[k] for k, v in got.items())
+    # the same rng calls, so the draws that follow stay the same too
+    assert floats.getstate() == exact.getstate()
 
 
 def test_random_point_respects_domain_signs():

@@ -5,22 +5,28 @@ are sharp: literal equality where the normalized output is pinned down,
 gradient parallelism where only the level sets are.
 """
 
+import dataclasses
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casinv import integrate, linalg
 from casinv.expr import (
     EXPR_ONE,
     EXPR_ZERO,
     Domain,
     VariableSet,
+    _involves,
     differentiate,
     free_symbols,
+    number,
     parse,
 )
-from casinv.fixtures import load_fixture
+from casinv.fixtures import fixture_names, load_fixture
 from casinv.integrate import (
+    CasimirResult,
     IntegrationError,
     NonElementaryError,
     antiderivative,
@@ -31,7 +37,10 @@ from casinv.integrate import (
     normalize_invariant,
 )
 from casinv.matrix import StructureMatrix
-from casinv.verify import gradients_parallel
+from casinv.poly import _PRIME
+from casinv.sysfile import load_system
+from casinv.verify import gradient_rank
+from gradients import gradients_parallel
 
 VS = VariableSet(("x", "y", "z"), ("a",))
 
@@ -111,6 +120,13 @@ def dense_defects(coeffs, symbols):
         - differentiate(coeffs[a], names[b], symbols)
         for a, b in itertools.combinations(range(len(names)), 2)
     }
+
+
+def test_active_variables_reach_into_ln_arguments():
+    coeffs = (E("ln(z)*a"), E("0"), E("0"))
+    names = VS.variables
+    reference = [v for v in names if any(_involves(c, v) for c in coeffs)]
+    assert integrate._active(coeffs, names) == (reference, [0, 2]) == (["z"], [0, 2])
 
 
 def test_defect_keys_are_the_active_pairs():
@@ -349,3 +365,97 @@ def test_integrate_all_deterministic():
     b = integrate_all(sys_.matrix, seed=5)
     assert [str(c.expr) for c in a.casimirs] == [str(c.expr) for c in b.casimirs]
     assert a.notes == b.notes
+
+
+# -- independence ------------------------------------------------------------------
+
+
+def _exact_greedy(rows) -> list:
+    """Reference: indices of the rows that raise the exact rank of those kept before."""
+    kept = []
+    for i, row in enumerate(rows):
+        trial = [list(rows[k]) for k in kept] + [list(row)]
+        pivots, _ = linalg._rref(trial, len(row), lambda v: v == 0)
+        if len(pivots) == len(trial):
+            kept.append(i)
+    return kept
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: st.lists(st.lists(_small, min_size=w, max_size=w), max_size=6)))
+def test_mod_p_reduction_keeps_the_exact_greedy_rows(rows):
+    # scaled to integers, the entries are at most 18 and every minor is at
+    # most 4x4, so below p by Hadamard's bound: dependence mod p is exact here
+    basis = []
+    kept = [i for i, row in enumerate(rows) if integrate._joins(basis, [integrate._residue(number(v), {}) for v in row])]
+    assert kept == _exact_greedy(rows)
+
+
+def _light_top_candidates():
+    sys_ = load_fixture("light-top")
+    single, combo = integrate_all(sys_.matrix).casimirs
+    assert single.rows == (6,) and combo.rows == (3, 6)
+    return sys_, single, combo
+
+
+def _no_vote(*args, **kwargs):
+    raise AssertionError("the gradient vote was called")
+
+
+def test_dependent_candidates_are_dropped_without_a_vote(monkeypatch):
+    monkeypatch.setattr(integrate, "gradient_rank", _no_vote)
+    sys_, single, combo = _light_top_candidates()
+    mults = dict(combo.multipliers)
+    summed = dataclasses.replace(
+        combo, expr=combo.expr + single.expr, multipliers=((3, mults[3]), (6, mults[6] + single.eta))
+    )
+    scaled = dataclasses.replace(combo, multipliers=tuple((r, m * number(-2)) for r, m in combo.multipliers))
+    candidates = [single, single, combo, summed, scaled]
+    kept = integrate._independent(candidates, 3, (3, 6), sys_.symbols, sys_.matrix.domain, 0)
+    assert kept == [single, combo]
+
+
+@pytest.mark.parametrize("factor", ["ln(F3)", f"1/{_PRIME}"])
+def test_multiplier_without_a_residue_is_decided_by_the_vote(monkeypatch, factor):
+    votes = []
+
+    def vote(exprs, *args, **kwargs):
+        votes.append(len(exprs))
+        return gradient_rank(exprs, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "gradient_rank", vote)
+    sys_, single, combo = _light_top_candidates()
+    odd = dataclasses.replace(single, eta=single.eta * parse(factor, sys_.symbols))
+    # the vote decides the odd candidate and every one after it
+    candidates = [odd, single, combo]
+    kept = integrate._independent(candidates, 2, (3, 6), sys_.symbols, sys_.matrix.domain, 0)
+    assert kept == [odd, combo]
+    assert votes == [1, 2, 2]
+
+
+def _ln_free(c: CasimirResult) -> bool:
+    mults = [c.eta] if c.eta is not None else [m for _, m in c.multipliers]
+    return all(isinstance(a, str) for m in mults for p in (m.num, m.den) for a in p.atoms())
+
+
+def test_golden_systems_never_vote(monkeypatch):
+    votes = []
+    monkeypatch.setattr(integrate, "gradient_rank", lambda *a, **k: votes.append(a) or 0)
+    systems = [load_fixture(name) for name in fixture_names()]
+    systems += [load_system(p) for p in sorted((Path(__file__).parent / "systems").glob("*.psys"))]
+    proved = 0
+    for sys_ in systems:
+        if sys_.expect.jacobi_ok is False:
+            continue
+        votes.clear()
+        result = integrate_all(sys_.matrix)
+        if all(_ln_free(c) for c in result.casimirs):
+            assert votes == [], sys_.name
+            proved += len(result.casimirs)
+        # and the sampled vote agrees that the kept invariants are independent
+        exprs = [c.expr for c in result.casimirs]
+        assert gradient_rank(exprs, sys_.symbols, sys_.matrix.domain) == len(exprs), sys_.name
+    assert proved >= 20

@@ -27,9 +27,9 @@ from casinv.verify import (
     flow_conservation,
     gradient,
     gradient_rank,
-    gradients_parallel,
     random_polynomial_hamiltonian,
 )
+from gradients import gradients_parallel
 
 VS = VariableSet(("x", "y"), ("a",))
 
