@@ -556,7 +556,8 @@ def sample_points(
 def sample_values(exprs, symbols: VariableSet, domain: Domain | None, rng: random.Random, points: int):
     """Float values of exprs at up to `points` sample points where all are defined.
 
-    The expressions are compiled once and drawn through sample_points as floats.
+    The expressions are compiled once; random_point's float draws come in
+    symbols.all_symbols() order, the order the compiled function takes.
     """
     f = compile_exprs(exprs, symbols)
     return sample_points(symbols, domain, rng, points, lambda pt: f(*pt.values()), exact=False)

@@ -382,15 +382,19 @@ def _exact_greedy(rows) -> list:
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_small_rows = st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(_small, min_size=w, max_size=w), max_size=6)
+)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda w: st.lists(st.lists(_small, min_size=w, max_size=w), max_size=6)))
+@given(_small_rows)
 def test_mod_p_reduction_keeps_the_exact_greedy_rows(rows):
     # scaled to integers, the entries are at most 18 and every minor is at
     # most 4x4, so below p by Hadamard's bound: dependence mod p is exact here
     basis = []
-    kept = [i for i, row in enumerate(rows) if integrate._joins(basis, [integrate._residue(number(v), {}) for v in row])]
+    residues = [[integrate._residue(number(v), {}) for v in row] for row in rows]
+    kept = [i for i, row in enumerate(residues) if integrate._joins(basis, row)]
     assert kept == _exact_greedy(rows)
 
 
@@ -410,9 +414,13 @@ def test_dependent_candidates_are_dropped_without_a_vote(monkeypatch):
     sys_, single, combo = _light_top_candidates()
     mults = dict(combo.multipliers)
     summed = dataclasses.replace(
-        combo, expr=combo.expr + single.expr, multipliers=((3, mults[3]), (6, mults[6] + single.eta))
+        combo,
+        expr=combo.expr + single.expr,
+        multipliers=((3, mults[3]), (6, mults[6] + single.eta)),
     )
-    scaled = dataclasses.replace(combo, multipliers=tuple((r, m * number(-2)) for r, m in combo.multipliers))
+    scaled = dataclasses.replace(
+        combo, multipliers=tuple((r, m * number(-2)) for r, m in combo.multipliers)
+    )
     candidates = [single, single, combo, summed, scaled]
     kept = integrate._independent(candidates, 3, (3, 6), sys_.symbols, sys_.matrix.domain, 0)
     assert kept == [single, combo]
