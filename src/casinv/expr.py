@@ -503,27 +503,29 @@ def _eval_poly(p: Poly, values: dict):
 # sampling and the zero verdict
 
 
-def random_rational(rng: random.Random, exact: bool = True):
+def random_rational(rng: random.Random, exact: bool | int = True):
+    """Random n/d in [1, 10], 16 <= d <= 128: a Fraction, or its float if exact is False.
+
+    An int exact is a prime p, and the draw is n * d^-1 mod p.  All make the same rng calls.
+    """
     d = rng.randint(16, 128)
     n = rng.randint(d, 10 * d)
+    if exact is True:
+        return Fraction(n, d)
     # int / int rounds correctly, as Fraction.__float__ does: the float of the exact draw
-    return Fraction(n, d) if exact else n / d
+    return n / d if exact is False else n * pow(d, -1, exact) % exact
 
 
 def random_point(
     symbols: VariableSet,
     domain: Domain | None = None,
     rng: random.Random | None = None,
-    exact: bool = True,
+    exact: bool | int = True,
 ) -> dict:
-    """Generic point: variables obey domain signs, parameters positive; Fractions if exact."""
-    rng = rng or random.Random(0)
-    domain = domain or Domain()
-    values = {}
-    for name in symbols.variables:
-        values[name] = domain.sample_sign(name) * random_rational(rng, exact)
-    for name in symbols.parameters:
-        values[name] = random_rational(rng, exact)
+    """Generic point drawn as `exact` says: variables obey domain signs, parameters positive."""
+    rng, domain = rng or random.Random(0), domain or Domain()
+    values = {v: domain.sample_sign(v) * random_rational(rng, exact) for v in symbols.variables}
+    values.update((name, random_rational(rng, exact)) for name in symbols.parameters)
     return values
 
 
@@ -533,9 +535,10 @@ def sample_points(
     """Yield at(point) at the first `want` random points where `at` is defined.
 
     This is the one draw loop behind every sampled check.  Points come from
-    random_point in draw order; a point where `at` raises ZeroDivisionError,
-    ValueError, EvalDomainError or OverflowError (a zero denominator, ln of a
-    non-positive value, a float power past the largest double) is skipped.
+    random_point(..., exact) in draw order; a point where `at` raises
+    ZeroDivisionError, ValueError, EvalDomainError or OverflowError (a zero
+    denominator, ln of a non-positive value, a float power past the largest
+    double) is skipped.
     At most 50 * want points are drawn, so fewer than `want` values mean too
     few points were usable.  No point is drawn after the last value is
     taken, and callers may stop early by leaving the loop.

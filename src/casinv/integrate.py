@@ -20,10 +20,13 @@ is to make some multiple of w_i exact and integrate it:
    combinations sum_i mu_i w_i are sought with each mu_i affine in the
    variables, again by solving the closedness conditions for the unknowns.
 
-Both searches impose their linear conditions exactly at random rational
-points (_sampled_rows) and take the nullspace of the resulting rational
-system with nullspace_fractions, which solves it modulo a prime and
-certifies the basis exactly.
+Both searches impose their linear conditions at random points modulo the
+prime p = 2^31 - 1 (_sampled_rows, with every Expr evaluated by _residue)
+and lift the nullspace of those rows to the rationals with
+nullspace_fractions, unchecked.  The potential is the certificate: an eta
+counts only once integrate_closed reconstructs C with dC = eta * w_i
+exactly, and a combination only once its potential is reconstructed.  So an
+unlucky point or a failed lift can cost a candidate, never admit a wrong one.
 
 Of the invariants found, the first n - rank independent ones are kept.
 dC = lam * sum_f m_f w_f, where lam is the nonzero, variable-free scale that
@@ -45,7 +48,6 @@ wilder raises rather than guessing.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,37 +178,44 @@ def _factor_pool(coeffs) -> list:
     return pool
 
 
-def _poly_value(p: Poly, values: dict, rng) -> Fraction:
-    """Exact value of p; an ln atom missing from values gets a random rational."""
-    total = Fraction(0)
-    for m, c in p.terms.items():
-        for a, e in m:
-            if a not in values:
-                values[a] = random_rational(rng)
-            c = c * values[a] ** e
-        total += c
-    return total
+def _residue(e: Expr, point: dict, rng=None) -> int:
+    """e mod _PRIME at a point of residues; ValueError where e is undefined mod _PRIME.
+
+    An ln atom missing from the point raises KeyError or, given rng, takes a random
+    residue that the point keeps, drawn term by term and numerator first.
+    """
+
+    def value(p: Poly) -> int:
+        total = 0
+        for m, c in p.terms.items():
+            t = c.numerator * pow(c.denominator, -1, _PRIME)
+            for a, k in m:
+                if rng is not None and a not in point:
+                    point[a] = random_rational(rng, _PRIME)
+                t *= pow(point[a], k, _PRIME)
+            total += t
+        return total
+
+    return value(e.num) * pow(value(e.den), -1, _PRIME) % _PRIME
 
 
 def _sampled_rows(rows_at, unknowns, active, symbols, domain, rng):
-    """Exact rows of a linear system in `unknowns` columns, imposed at random points.
+    """Rows mod _PRIME of a linear system in `unknowns` columns, imposed at random points.
 
-    rows_at(value) gives the rows at one point, where value(e) is the exact
-    Fraction value of the Expr e there.  Each ln atom takes its own random
-    rational, so it counts as an independent unknown.  One point gives at
-    most active - 1 independent rows, so ceil(unknowns / (active - 1)) + 1
-    usable points are sampled.  Returns the nonzero rows, or None when
-    fewer points are usable.
+    rows_at(value) gives the rows at one point, where value(e) is the residue
+    of the Expr e there (see _residue).  The points are random_point's draws
+    taken mod _PRIME, and each ln atom takes its own random residue, so it
+    counts as an independent unknown.  A point where a denominator vanishes
+    mod _PRIME is skipped.  One point gives at most active - 1 independent
+    rows, so ceil(unknowns / (active - 1)) + 1 usable points are sampled.
+    Returns the nonzero rows, or None when fewer points are usable.
     """
     need = -(-unknowns // max(active - 1, 1)) + 1
 
-    def rows_at_point(values):
-        def value(e: Expr) -> Fraction:
-            return _poly_value(e.num, values, rng) / _poly_value(e.den, values, rng)
+    def rows_at_point(point):
+        return [r for r in rows_at(lambda e: _residue(e, point, rng)) if any(r)]
 
-        return [r for r in rows_at(value) if any(r)]
-
-    batches = list(sample_points(symbols, domain, rng, need, rows_at_point))
+    batches = list(sample_points(symbols, domain, rng, need, rows_at_point, exact=_PRIME))
     if len(batches) < need:
         return None
     return [r for rows in batches for r in rows]
@@ -228,8 +237,8 @@ def find_eta(
 
         d[a,b] + sum_k e_k (c_b df_k/dx_a - c_a df_k/dx_b) / f_k = 0
 
-    for every pair a < b, which is linear in the exponents.  Imposed at
-    random points it is solved exactly.  An integer solution is returned
+    for every pair a < b, which is linear in the exponents.  It is imposed
+    at random points mod p and solved there.  An integer solution is returned
     only if integrate_closed finds a potential C with dC = eta * w exactly,
     which certifies it; otherwise the result is None.
     """
@@ -255,9 +264,10 @@ def find_eta(
         logd = []
         for f, gs in zip(factors, grads):
             fv = value(f)
-            logd.append({a: value(g) / fv for a, g in gs})
+            logd.append({a: value(g) * pow(fv, -1, _PRIME) for a, g in gs})
         return [
-            [c[b] * lg.get(a, 0) - c[a] * lg.get(b, 0) for lg in logd] + [value(defects[(a, b)])]
+            [(c[b] * lg.get(a, 0) - c[a] * lg.get(b, 0)) % _PRIME for lg in logd]
+            + [value(defects[(a, b)])]
             for a, b in itertools.combinations(active, 2)
         ]
 
@@ -380,9 +390,9 @@ def normalize_invariant(e: Expr, symbols: VariableSet) -> Expr:
 def _combination_solutions(forms, defect_maps, symbols: VariableSet, domain, seed):
     """Closed combinations sum_f mu_f w_f with each mu_f affine in the variables.
 
-    Closedness is linear in the mu coefficients; imposed exactly at random
-    points it gives a rational system whose nullspace enumerates all
-    solutions.
+    Closedness is linear in the mu coefficients; imposed at random points
+    mod p it gives a system whose nullspace, lifted, enumerates the
+    solutions.  integrate_all keeps one only if its potential is exact.
     """
     names = symbols.variables
     n = len(names)
@@ -401,7 +411,8 @@ def _combination_solutions(forms, defect_maps, symbols: VariableSet, domain, see
                 # mu_f = alpha + sum_v beta_v x_v: the alpha column, then one per beta_v
                 row.append(dab)
                 for v in range(n):
-                    row.append(x[v] * dab + (w[fi][b] if v == a else 0) - (w[fi][a] if v == b else 0))
+                    cross = (w[fi][b] if v == a else 0) - (w[fi][a] if v == b else 0)
+                    row.append((x[v] * dab + cross) % _PRIME)
             rows.append(row)
         return rows
 
@@ -435,19 +446,6 @@ def _combination_solutions(forms, defect_maps, symbols: VariableSet, domain, see
 
 
 # -- independence ----------------------------------------------------------------
-
-
-def _residue(e: Expr, point: dict) -> int:
-    """e mod _PRIME at an integer point; KeyError on an ln atom, ValueError where undefined."""
-
-    def value(p: Poly) -> int:
-        return sum(
-            c.numerator * pow(c.denominator, -1, _PRIME)
-            * math.prod(pow(point[a], k, _PRIME) for a, k in m)
-            for m, c in p.terms.items()
-        )
-
-    return value(e.num) * pow(value(e.den), -1, _PRIME) % _PRIME
 
 
 def _joins(basis: list, row: list) -> bool:

@@ -1,13 +1,13 @@
-"""Exact linear algebra over Expr entries and over plain Fractions.
+"""Exact linear algebra over Expr entries, and nullspaces modulo a prime.
 
 Everything here is small and dense: pivot blocks of structure matrices and
 coefficient systems extracted from closedness conditions.  One Gauss-Jordan
 reduction with exact arithmetic serves the determinant and the solve; the
 Expr type keeps quotients gcd-reduced at every step, which is what stops
-intermediate expression swell.  The rational nullspace is computed modulo a
-prime and each basis vector is then checked exactly against every row, which
-certifies it as the canonical one; the exact reduction is its fallback when
-that certificate cannot be given.
+intermediate expression swell.  The sampled closedness systems are reduced
+modulo a prime and their nullspace is lifted to the rationals by rational
+reconstruction, unchecked: what the callers build from it is certified
+exactly downstream.
 """
 
 from __future__ import annotations
@@ -87,38 +87,22 @@ def solve_exact(a: list, b: list) -> list:
 
 
 def nullspace_fractions(rows: list) -> list:
-    """Basis of the right nullspace of a Fraction matrix.
+    """Basis of the right nullspace of a rational matrix, lifted from its RREF mod _PRIME.
 
-    Returns tuples, one per free column of the reduced row echelon form,
-    ordered by free-column index.  The basis is the canonical RREF one: each
-    vector has a 1 in its own free column and zeros in the others.
-
-    The rows are scaled to integers (which keeps the nullspace) and reduced
-    mod _PRIME.  A nonzero minor mod p is nonzero over Z, so rank_p <= rank_Q:
-    full rank mod p proves the nullspace trivial.  Otherwise each free
-    column's RREF vector mod p is lifted entry by entry by rational
-    reconstruction and checked exactly against every integer row.  When all
-    ncols - rank_p vectors pass, they are independent kernel vectors, so
-    nullity_Q = nullity_p and they span the kernel.  Each vector's last
-    nonzero entry sits in its own free column, so these are free columns
-    over Q as well, the same ones, and each vector is the unique kernel
-    vector with a 1 in its free column and 0 in the others: the canonical
-    RREF basis over Q.  A row denominator divisible by p, a failed
-    reconstruction or a failed check falls back to the exact reduction.
+    Entries are ints, such as the residues of the sampled closedness rows, or
+    Fractions, taken as n * d^-1 mod _PRIME.  There is one tuple of Fractions
+    per free column, in column order, with 1 there and 0 at the other free
+    columns; its pivot entries are lifted by rational reconstruction, and a
+    vector with an entry past Wang's bound is dropped.  Nothing is checked
+    against the rows: the result is the canonical RREF basis over Q when the
+    rank mod p is the rational rank and every entry is within the bound, and
+    otherwise a vector may be missing or wrong.  Callers certify what they
+    use (see integrate).
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    ints = []
-    for row in rows:
-        dens = [v.denominator for v in row]
-        scale = math.lcm(*dens)
-        if scale % _PRIME == 0:
-            # the entries that carry the factor p vanish mod p, so the image
-            # would likely lose rank and fail the check below
-            return _nullspace_rref(rows, ncols)
-        ints.append([v.numerator * (scale // d) for v, d in zip(row, dens)])
-    m = [[v % _PRIME for v in row] for row in ints]
+    m = [[v.numerator * pow(v.denominator, -1, _PRIME) % _PRIME for v in row] for row in rows]
     pivots = _rref_mod_p(m, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -126,15 +110,9 @@ def nullspace_fractions(rows: list) -> list:
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
             if m[ri][fc]:
-                q = _reconstruct(_PRIME - m[ri][fc])
-                if q is None:
-                    return _nullspace_rref(rows, ncols)
-                v[pc] = q
-        scale = math.lcm(*(q.denominator for q in v))
-        w = [q.numerator * (scale // q.denominator) for q in v]
-        if any(sum(a * b for a, b in zip(row, w)) for row in ints):
-            return _nullspace_rref(rows, ncols)
-        basis.append(tuple(v))
+                v[pc] = _reconstruct(_PRIME - m[ri][fc])
+        if None not in v:
+            basis.append(tuple(v))
     return basis
 
 
@@ -171,17 +149,3 @@ def _reconstruct(a: int):
     if abs(t1) > _HALF or math.gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
-
-
-def _nullspace_rref(rows: list, ncols: int) -> list:
-    """nullspace_fractions by Gauss-Jordan over Fractions: the fallback and the reference."""
-    m = [list(r) for r in rows]
-    pivots, _ = _rref(m, ncols, lambda v: v == 0)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
-        basis.append(tuple(v))
-    return basis

@@ -187,8 +187,8 @@ class StructureMatrix:
         J[l][i] dJ[j][k]/dx_l + J[l][j] dJ[k][i]/dx_l + J[l][k] dJ[i][j]/dx_l.
         Only terms with both factors nonzero are formed.  Each nonzero upper
         entry is differentiated once; its mirror J[b][a] = -J[a][b] takes the
-        negated derivatives.  A triple whose sum is exactly zero is proved
-        and draws no sample point.
+        negated derivatives.  Only triples with some such term are visited; a
+        triple whose sum is exactly zero is proved and draws no sample point.
         """
         n = self.n
         names = self.symbols.variables
@@ -208,10 +208,18 @@ class StructureMatrix:
             {l: self.rows[l][c] for l in range(n) if not self.rows[l][c].is_zero()}
             for c in range(n)
         ]
+        # a triple has a term only if, for one of its pairs (a, b) and its third
+        # index c, some l has dJ[a][b]/dx_l != 0 and J[l][c] != 0
+        live = {
+            tuple(sorted((a, b, c)))
+            for (a, b), d in grads.items()
+            for c, col in enumerate(cols)
+            if c not in (a, b) and not col.keys().isdisjoint(d)
+        }
 
         failures = []
         sampled = []
-        for i, j, k in itertools.combinations(range(n), 3):
+        for i, j, k in sorted(live):
             terms = []
             for pos, (c, pair) in enumerate(((i, (j, k)), (j, (k, i)), (k, (i, j)))):
                 col = cols[c]
@@ -327,18 +335,43 @@ class StructureMatrix:
         )
 
     def _greedy_pivot(self, mats, rank: int, tol: float) -> tuple:
-        """Grow a principal block two rows at a time (odd skew blocks are singular)."""
+        """Grow a principal block two rows at a time (odd skew blocks are singular).
+
+        Each step takes the first pair, in row-nnz order, whose grown block
+        numeric_rank finds invertible.  A pair is skipped without that SVD when
+        the 2x2 block of the Schur complement S = M - M[:,C] A^-1 M[C,:] of the
+        chosen block A has sigma_min at or below tol * |A|_2, less a margin
+        for round-off in S: the grown block's sigma_min is at most that of
+        its block of S and its sigma_max at least |A|_2, so numeric_rank
+        would reject it too.
+        """
         m = mats[0]
         n = self.n
+        norm = np.linalg.norm(m)  # Frobenius, at least |M|_2
         row_nnz = [sum(1 for e in self.rows[i] if not e.is_zero()) for i in range(n)]
+        order = sorted(
+            itertools.combinations(range(n), 2), key=lambda p: (row_nnz[p[0]] + row_nnz[p[1]], p)
+        )
         chosen: list = []
         while len(chosen) < rank:
+            free = set(range(n)).difference(chosen)
+            pairs = [(i, j) for i, j in order if i in free and j in free]
+            tried = range(len(pairs))
+            if chosen:
+                a = m[np.ix_(chosen, chosen)]
+                sv = np.linalg.svd(a, compute_uv=False)
+                schur = m - m[:, chosen] @ np.linalg.solve(a, m[chosen, :])
+                # round-off in S is about n * eps * |M| * (1 + |M| * cond(A) / sigma_min(A))
+                slack = 64 * n * np.finfo(float).eps * norm * (1 + norm * sv[0] / sv[-1] ** 2)
+                p, q = np.array(pairs).T
+                blocks = np.stack([schur[p, p], schur[p, q], schur[q, p], schur[q, q]], axis=-1)
+                sigma = np.linalg.svd(blocks.reshape(-1, 2, 2), compute_uv=False)[:, -1]
+                tried = np.flatnonzero(sigma > tol * sv[0] - slack)
             found = None
-            pairs = itertools.combinations((i for i in range(n) if i not in chosen), 2)
-            for i, j in sorted(pairs, key=lambda p: (row_nnz[p[0]] + row_nnz[p[1]], p)):
-                trial = sorted(chosen + [i, j])
+            for k in tried:
+                trial = sorted(chosen + list(pairs[k]))
                 if numeric_rank(m[np.ix_(trial, trial)], tol) == len(trial):
-                    found = (i, j)
+                    found = pairs[k]
                     break
             if found is None:
                 raise PivotCertificationError(

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from casinv.cost import quadrature_cost
-from casinv.expr import parse
 from casinv.fixtures import fixture_names, load_fixture
 from casinv.gamma import solve_gamma
 from casinv.integrate import integrate_all

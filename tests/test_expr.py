@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from casinv.expr import (
-    AlgebraError,
     Domain,
     EvalDomainError,
     ParseError,
@@ -25,7 +24,6 @@ from casinv.expr import (
     evaluate,
     format_expr,
     free_symbols,
-    ln_of,
     number,
     parse,
     random_point,
@@ -35,6 +33,7 @@ from casinv.expr import (
     zero_verdict,
     _reduce,
 )
+from casinv.poly import _PRIME
 
 VS = VariableSet(("x1", "x2", "x3"), ("a", "b", "c"))
 
@@ -359,6 +358,20 @@ def test_float_draws_are_the_exact_draws_rounded(seed, s1, s2, s3):
         assert all(type(v) is float and v == want[k] for k, v in got.items())
     # the same rng calls, so the draws that follow stay the same too
     assert floats.getstate() == exact.getstate()
+
+
+@given(st.integers(0, 2**64), _sign, _sign, _sign)
+def test_residue_draws_are_the_exact_draws_mod_p(seed, s1, s2, s3):
+    dom = Domain({v: s for v, s in zip(VS.variables, (s1, s2, s3)) if s})
+    exact, residues = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        want = random_point(VS, dom, exact)
+        got = random_point(VS, dom, residues, exact=_PRIME)
+        assert list(got) == list(want) == list(VS.all_symbols())
+        for k, v in got.items():
+            assert type(v) is int and abs(v) < _PRIME
+            assert v * want[k].denominator % _PRIME == want[k].numerator % _PRIME
+    assert residues.getstate() == exact.getstate()
 
 
 def test_random_point_respects_domain_signs():

@@ -7,10 +7,12 @@ gradient parallelism where only the level sets are.
 
 import dataclasses
 import itertools
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from casinv import integrate, linalg
 from casinv.expr import (
@@ -23,6 +25,8 @@ from casinv.expr import (
     free_symbols,
     number,
     parse,
+    random_point,
+    random_rational,
 )
 from casinv.fixtures import fixture_names, load_fixture
 from casinv.integrate import (
@@ -365,6 +369,86 @@ def test_integrate_all_deterministic():
     b = integrate_all(sys_.matrix, seed=5)
     assert [str(c.expr) for c in a.casimirs] == [str(c.expr) for c in b.casimirs]
     assert a.notes == b.notes
+
+
+# -- closedness rows mod p -----------------------------------------------------------
+
+
+def _exact_value(e, point: dict, rng) -> Fraction:
+    """Reference: e's exact value; a missing ln atom draws random_rational, term by term."""
+
+    def value(p):
+        total = Fraction(0)
+        for m, c in p.terms.items():
+            for a, k in m:
+                if a not in point:
+                    point[a] = random_rational(rng)
+                c = c * point[a] ** k
+            total += c
+        return total
+
+    return value(e.num) / value(e.den)
+
+
+_leaves = st.one_of(
+    st.sampled_from(["x", "y", "z", "a", "ln(x)", "ln(x + y)", "ln(a*z)"]).map(E),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).map(number),
+)
+_exprs = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda t: t[0] + t[1]),
+        st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
+        st.tuples(kids, kids.filter(lambda e: not e.is_zero())).map(lambda t: t[0] / t[1]),
+        st.tuples(kids, st.integers(-2, 3)).filter(lambda t: not t[0].is_zero()).map(
+            lambda t: t[0] ** t[1]
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs, st.integers(0, 2**32), st.sampled_from([None, "+", "-"]))
+def test_residue_is_the_exact_value_mod_p(e, seed, sign):
+    dom = Domain({"y": sign} if sign else {})
+    exact_rng, residue_rng = random.Random(seed), random.Random(seed)
+    exact = random_point(VS, dom, exact_rng)
+    point = random_point(VS, dom, residue_rng, exact=_PRIME)
+    try:
+        want = _exact_value(e, exact, exact_rng)
+    except ZeroDivisionError:
+        assume(False)
+    got = integrate._residue(e, point, residue_rng)
+    assert got == want.numerator * pow(want.denominator, -1, _PRIME) % _PRIME
+    # the ln atoms took the same draws, so the rng streams stay in step
+    assert residue_rng.getstate() == exact_rng.getstate()
+
+
+def test_sampled_rows_build_no_fraction(monkeypatch):
+    built = []
+    new = Fraction.__new__
+    sampled_rows = integrate._sampled_rows
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def traced(*args):
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counting)
+            rows = sampled_rows(*args)
+        traced.rows += len(rows or ())
+        return rows
+
+    traced.rows = 0
+    monkeypatch.setattr(integrate, "_sampled_rows", traced)
+    for name in fixture_names():
+        sys_ = load_fixture(name)
+        if sys_.expect.jacobi_ok is not False:
+            integrate_all(sys_.matrix)
+    assert traced.rows > 100
+    assert built == []
 
 
 # -- independence ------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from casinv import linalg
 from casinv.expr import EXPR_ONE, EXPR_ZERO, VariableSet, number, parse
@@ -230,7 +230,24 @@ def test_nullspace_annihilates_and_has_full_dimension(m):
 # -- the mod-p nullspace against the Fraction reduction --------------------------------
 
 P = linalg._PRIME
-reference = linalg._nullspace_rref  # Gauss-Jordan over Fractions, the fallback
+
+
+def _nullspace_rref(rows: list, ncols: int) -> list:
+    """nullspace_fractions by Gauss-Jordan over Fractions: the exact reference."""
+    m = [list(r) for r in rows]
+    pivots, _ = linalg._rref(m, ncols, lambda v: v == 0)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -m[ri][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _residues(rows):
+    return [[v.numerator * pow(v.denominator, -1, P) % P for v in row] for row in rows]
 
 
 @st.composite
@@ -253,57 +270,64 @@ def _sampled_like(draw):
 @settings(max_examples=150, deadline=None)
 @given(_sampled_like())
 def test_nullspace_matches_fraction_rref(m):
-    assert nullspace_fractions(m) == reference(m, len(m[0]))
-
-
-@pytest.fixture
-def fallbacks(monkeypatch):
-    calls = []
-
-    def counted(rows, ncols):
-        calls.append(rows)
-        return reference(rows, ncols)
-
-    monkeypatch.setattr(linalg, "_nullspace_rref", counted)
-    return calls
+    want = _nullspace_rref(m, len(m[0]))
+    # rational reconstruction recovers n/d only with |n|, d <= isqrt(p // 2)
+    bound = linalg._HALF
+    assume(all(abs(q.numerator) <= bound and q.denominator <= bound for v in want for q in v))
+    assert nullspace_fractions(m) == want
+    assert nullspace_fractions(_residues(m)) == want
 
 
 @pytest.mark.parametrize(
     "rows, expected",
     [
-        # a row denominator divisible by p
-        ([[Fraction(1, P), Fraction(1)]], [(Fraction(-P), Fraction(1))]),
-        # 40000 is past the reconstruction bound isqrt(p // 2) = 32767
-        ([[Fraction(1), Fraction(-40000)]], [(Fraction(40000), Fraction(1))]),
-        # singular mod p only: the candidate (1, 0) fails the exact check
-        ([[Fraction(P), Fraction(1)], [Fraction(0), Fraction(1)]], []),
+        # 40000 is past the reconstruction bound isqrt(p // 2) = 32767: dropped, not returned wrong
+        ([[1, P - 40000]], []),
+        # only the vector with the entry past the bound is dropped
+        ([[1, P - 40000, 2]], [(Fraction(-2), Fraction(0), Fraction(1))]),
+        # singular mod p only: the lift (1, 0) is not in the kernel over Q, and nothing checks it
+        ([[P, 1], [0, 1]], [(Fraction(1), Fraction(0))]),
     ],
 )
-def test_nullspace_falls_back_to_the_fraction_rref(fallbacks, rows, expected):
-    assert nullspace_fractions(rows) == expected == reference(rows, len(rows[0]))
-    assert len(fallbacks) == 1
+def test_nullspace_lifts_the_kernel_mod_p_unchecked(rows, expected):
+    assert nullspace_fractions(rows) == expected
 
 
-def test_nullspace_full_rank_mod_p_needs_no_fallback(fallbacks):
+def test_nullspace_of_a_fraction_without_a_residue_raises():
+    with pytest.raises(ValueError):
+        nullspace_fractions([[Fraction(1, P), Fraction(1)]])
+
+
+def _no_lift(a):
+    raise AssertionError("a vector was lifted")
+
+
+def test_nullspace_full_rank_mod_p_lifts_nothing(monkeypatch):
+    monkeypatch.setattr(linalg, "_reconstruct", _no_lift)
     rows = [[Fraction(2), Fraction(1, 3)], [Fraction(1), Fraction(1)], [Fraction(3), Fraction(4, 3)]]
-    assert nullspace_fractions(rows) == [] == reference(rows, 2)
-    assert fallbacks == []
+    assert nullspace_fractions(rows) == [] == _nullspace_rref(rows, 2)
 
 
-def test_pipeline_systems_never_fall_back(fallbacks, monkeypatch):
-    # a nullspace that always fell back would pass every parity test above
-    reductions = []
-    rref_mod_p = linalg._rref_mod_p
+def test_pipeline_systems_lift_every_vector(monkeypatch):
+    # a nullspace that dropped vectors would still pass the parity tests above
+    reductions, dropped = [], []
+    rref_mod_p, reconstruct = linalg._rref_mod_p, linalg._reconstruct
 
     def counted(m, width):
         reductions.append(width)
         return rref_mod_p(m, width)
 
+    def lifted(a):
+        q = reconstruct(a)
+        dropped.extend([a] if q is None else [])
+        return q
+
     monkeypatch.setattr(linalg, "_rref_mod_p", counted)
+    monkeypatch.setattr(linalg, "_reconstruct", lifted)
     systems = [load_fixture(name) for name in fixture_names()]
     systems += [load_system(p) for p in sorted((Path(__file__).parent / "systems").glob("*.psys"))]
     for sys_ in systems:
         if sys_.expect.jacobi_ok is not False:
             integrate_all(sys_.matrix)
     assert len(reductions) >= 10
-    assert fallbacks == []
+    assert dropped == []
