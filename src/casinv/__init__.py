@@ -39,7 +39,7 @@ from .integrate import (
     find_eta,
     integrate_all,
 )
-from .matrix import RankInstabilityError, StructureMatrix
+from .matrix import StructureMatrix
 from .sysfile import ParsedSystem, SystemFileError, load_system, parse_system
 from .verify import casimir_check, degeneracy_residual, flow_conservation, gradient_rank
 
@@ -59,7 +59,6 @@ __all__ = [
     "NonElementaryError",
     "ParseError",
     "ParsedSystem",
-    "RankInstabilityError",
     "StructureMatrix",
     "SystemFileError",
     "VariableSet",

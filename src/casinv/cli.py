@@ -10,7 +10,7 @@ either for a system file or straight from --dim/--rank.
 Every stage draws its randomness from the --seed flag alone, so repeated
 runs with the same seed produce byte-identical output.  Exit codes: 0 all
 checks passed, 1 a check failed, 2 bad usage or unreadable input, 3 the
-computation itself gave up (unstable rank, no integrating factor, ...).
+computation itself gave up (no usable sample point, no integrating factor).
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def section_validate(sys_: ParsedSystem, args, rep: Report) -> bool:
 
 
 def section_rank(sys_: ParsedSystem, args, rep: Report):
-    decomp = sys_.matrix.decompose(tol=args.tol, seed=stage_seed(args.seed, "rank"))
+    decomp = sys_.matrix.decompose(seed=stage_seed(args.seed, "rank"))
     rep.say(
         f"rank: {decomp.rank} "
         f"(pivot rows {_ints(decomp.pivot_rows_1based)}; "
@@ -360,7 +360,7 @@ def cmd_cost(args) -> int:
     if args.system is not None:
         sys_ = load_any(args.system)
         rep = Report("cost", sys_.name)
-        decomp = sys_.matrix.decompose(tol=args.tol, seed=stage_seed(args.seed, "rank"))
+        decomp = sys_.matrix.decompose(seed=stage_seed(args.seed, "rank"))
         n, rank = sys_.matrix.n, decomp.rank
     elif args.dim is not None and args.rank is not None:
         rep = Report("cost", None)
@@ -452,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=None, help="dimension n")
     sp.add_argument("--rank", type=int, default=None, help="rank 2m")
     sp.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
-    sp.add_argument("--tol", type=tolerance, default=1e-9, help=argparse.SUPPRESS)
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
     sp.set_defaults(func=cmd_cost)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .poly import Poly, MONO_SORT_KEY
+from .poly import _PRIME, Poly, MONO_SORT_KEY
 
 __all__ = [
     "AlgebraError",
@@ -50,6 +50,7 @@ __all__ = [
     "python_source",
     "differentiate",
     "evaluate",
+    "residue",
     "zero_verdict",
     "free_symbols",
     "symbol",
@@ -497,6 +498,28 @@ def _eval_poly(p: Poly, values: dict):
         total = total + tv
         scale = scale + ts
     return total, scale
+
+
+def residue(e: Expr, point: dict, rng: random.Random | None = None) -> int:
+    """e mod _PRIME at a point of residues; ValueError where e is undefined mod _PRIME.
+
+    This is the one evaluator mod the prime.  An ln atom missing from the
+    point raises KeyError or, given rng, takes a random residue that the
+    point keeps, drawn term by term and numerator first.
+    """
+
+    def value(p: Poly) -> int:
+        total = 0
+        for m, c in p.terms.items():
+            t = c.numerator * pow(c.denominator, -1, _PRIME)
+            for a, k in m:
+                if rng is not None and a not in point:
+                    point[a] = random_rational(rng, _PRIME)
+                t *= pow(point[a], k, _PRIME)
+            total += t
+        return total
+
+    return value(e.num) * pow(value(e.den), -1, _PRIME) % _PRIME
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ is to make some multiple of w_i exact and integrate it:
    variables, again by solving the closedness conditions for the unknowns.
 
 Both searches impose their linear conditions at random points modulo the
-prime p = 2^31 - 1 (_sampled_rows, with every Expr evaluated by _residue)
-and lift the nullspace of those rows to the rationals with
-nullspace_fractions, unchecked.  The potential is the certificate: an eta
-counts only once integrate_closed reconstructs C with dC = eta * w_i
-exactly, and a combination only once its potential is reconstructed.  So an
-unlucky point or a failed lift can cost a candidate, never admit a wrong one.
+prime p = 2^31 - 1 (_sampled_rows; expr.residue values each Expr, and each
+ln atom takes a random residue) and lift the nullspace of those rows to the
+rationals with nullspace_fractions, unchecked.  The potential is the
+certificate: an eta counts only once integrate_closed reconstructs C with
+dC = eta * w_i exactly, and a combination only once its potential is
+reconstructed.  So an unlucky point or a failed lift can cost a candidate,
+never admit a wrong one.
 
 Of the invariants found, the first n - rank independent ones are kept.
 dC = lam * sum_f m_f w_f, where lam is the nonzero, variable-free scale that
@@ -39,10 +40,10 @@ minor there, so it is independent as a function; an unlucky point can only
 drop a candidate, never admit a dependent one.  A multiplier with an ln atom
 has no residue: from there on the sampled gradient_rank vote decides.
 
-Potentials are reconstructed variable by variable (integrate in x1, correct
-the remainder, move on).  The antiderivative routine covers denominators
-that are monomial in the integration variable or linear in it; anything
-wilder raises rather than guessing.
+Potentials are reconstructed variable by variable, over the active ones
+only (integrate in x1, correct the remainder, move on).  The antiderivative
+routine covers denominators that are monomial in the integration variable
+or linear in it; anything wilder raises rather than guessing.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .expr import (
     free_symbols,
     ln_of,
     number,
-    random_rational,
+    residue,
     sample_points,
     symbol,
 )
@@ -178,32 +179,11 @@ def _factor_pool(coeffs) -> list:
     return pool
 
 
-def _residue(e: Expr, point: dict, rng=None) -> int:
-    """e mod _PRIME at a point of residues; ValueError where e is undefined mod _PRIME.
-
-    An ln atom missing from the point raises KeyError or, given rng, takes a random
-    residue that the point keeps, drawn term by term and numerator first.
-    """
-
-    def value(p: Poly) -> int:
-        total = 0
-        for m, c in p.terms.items():
-            t = c.numerator * pow(c.denominator, -1, _PRIME)
-            for a, k in m:
-                if rng is not None and a not in point:
-                    point[a] = random_rational(rng, _PRIME)
-                t *= pow(point[a], k, _PRIME)
-            total += t
-        return total
-
-    return value(e.num) * pow(value(e.den), -1, _PRIME) % _PRIME
-
-
 def _sampled_rows(rows_at, unknowns, active, symbols, domain, rng):
     """Rows mod _PRIME of a linear system in `unknowns` columns, imposed at random points.
 
     rows_at(value) gives the rows at one point, where value(e) is the residue
-    of the Expr e there (see _residue).  The points are random_point's draws
+    of the Expr e there (see residue).  The points are random_point's draws
     taken mod _PRIME, and each ln atom takes its own random residue, so it
     counts as an independent unknown.  A point where a denominator vanishes
     mod _PRIME is skipped.  One point gives at most active - 1 independent
@@ -213,7 +193,7 @@ def _sampled_rows(rows_at, unknowns, active, symbols, domain, rng):
     need = -(-unknowns // max(active - 1, 1)) + 1
 
     def rows_at_point(point):
-        return [r for r in rows_at(lambda e: _residue(e, point, rng)) if any(r)]
+        return [r for r in rows_at(lambda e: residue(e, point, rng)) if any(r)]
 
     batches = list(sample_points(symbols, domain, rng, need, rows_at_point, exact=_PRIME))
     if len(batches) < need:
@@ -356,12 +336,18 @@ def antiderivative(g: Expr, v: str, symbols: VariableSet) -> Expr:
 
 
 def integrate_closed(coeffs, symbols: VariableSet) -> Expr:
-    """Potential C with dC matching the closed 1-form, built variable by variable."""
+    """Potential C with dC matching the closed 1-form, built variable by variable.
+
+    Only the active variables (see _active) are walked: an inactive one has
+    coefficient 0 and no antiderivative introduces it, so C is free of it.
+    """
+    names = symbols.variables
+    active = [(a, names[a]) for a in _active(coeffs, names)[1]]
     c_total = EXPR_ZERO
-    for idx, v in enumerate(symbols.variables):
+    for idx, v in active:
         g = coeffs[idx] - differentiate(c_total, v, symbols)
         c_total = c_total + antiderivative(g, v, symbols)
-    for idx, v in enumerate(symbols.variables):
+    for idx, v in active:
         residual = differentiate(c_total, v, symbols) - coeffs[idx]
         if not residual.is_zero():
             raise NonElementaryError(
@@ -474,7 +460,7 @@ def _independent(candidates, target, rows, symbols: VariableSet, domain, seed) -
         if basis is not None:
             mults = dict(cand.multipliers) if cand.eta is None else {cand.rows[0]: cand.eta}
             try:
-                row = [_residue(mults.get(r, EXPR_ZERO), point) for r in rows]
+                row = [residue(mults.get(r, EXPR_ZERO), point) for r in rows]
             except (KeyError, ValueError):  # an ln atom, or a pole mod _PRIME
                 basis = None
         if basis is None:

@@ -4,9 +4,13 @@ A StructureMatrix holds the n x n matrix of bracket coefficients J[i][j] as
 exact expressions.  Three facts about it drive everything downstream:
 
 * it must be skew-symmetric and satisfy the Jacobi identity (checked here),
-* its rank 2m is even and generically constant, found by sampling,
+* its rank 2m is even and generically constant,
 * some 2m x 2m principal block is invertible; the rows outside that block
   are the dependent ones whose degeneracy relations yield the invariants.
+
+The rank and the block are decided modulo the prime p = 2^31 - 1 at one
+random point, with no tolerance (see decompose); the chosen block's
+determinant is then certified exactly.
 
 Row/column indices are 0-based internally.  Everything user-facing (reports,
 error messages, returned row labels) is 1-based, matching the way systems
@@ -17,11 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
-from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .expr import (
     Domain,
@@ -31,15 +33,15 @@ from .expr import (
     VariableSet,
     ZeroVerdict,
     differentiate,
-    sample_values,
+    residue,
+    sample_points,
     zero_verdict,
 )
-from .linalg import det_exact
+from .linalg import _rref_mod_p, det_exact
+from .poly import _PRIME
 
 __all__ = [
     "StructureError",
-    "RankInstabilityError",
-    "PivotCertificationError",
     "SkewViolation",
     "JacobiFailure",
     "JacobiReport",
@@ -52,14 +54,6 @@ CANDIDATE_BUDGET = 5000  # decompose enumerates at most this many principal bloc
 
 
 class StructureError(Exception):
-    pass
-
-
-class RankInstabilityError(StructureError):
-    pass
-
-
-class PivotCertificationError(StructureError):
     pass
 
 
@@ -91,7 +85,6 @@ class PivotDecomposition:
     dependent_rows: tuple
     pivot_block: tuple  # rank x rank tuple of Exprs
     pivot_det: Expr
-    rank_samples: tuple
 
     @property
     def pivot_rows_1based(self) -> tuple:
@@ -100,16 +93,6 @@ class PivotDecomposition:
     @property
     def dependent_rows_1based(self) -> tuple:
         return tuple(i + 1 for i in self.dependent_rows)
-
-
-def numeric_rank(m: np.ndarray, tol: float):
-    """Singular values above tol times the largest; a block is invertible at full rank.
-
-    A stack of matrices (k, r, c) gets one SVD call and an array of k ranks.
-    """
-    s = np.linalg.svd(m, compute_uv=False)
-    ranks = np.sum(s > tol * s[..., :1], axis=-1)
-    return ranks if m.ndim > 2 else int(ranks)
 
 
 class StructureMatrix:
@@ -245,137 +228,97 @@ class StructureMatrix:
             sampled_only=tuple(sampled),
         )
 
+
     # -- rank and pivot selection ------------------------------------------------
 
-    def _rank_profile(self, samples: int, tol: float, seed: int):
-        n = self.n
-        rng = random.Random(f"structure-sample:{seed}")
-        entries = [e for row in self.rows for e in row]
-        draws = sample_values(entries, self.symbols, self.domain, rng, samples)
-        mats = [np.array(v).reshape(n, n) for v in draws]
-        if len(mats) < samples:
-            raise StructureError("could not sample points where the matrix is regular")
-        ranks = [numeric_rank(m, tol) for m in mats]
-        counts = Counter(ranks)
-        best, cnt = counts.most_common(1)[0]
-        if cnt * 2 <= len(ranks):
-            raise RankInstabilityError(
-                f"numeric rank is unstable across sample points: {sorted(counts.items())}"
-            )
-        if best % 2:
-            raise RankInstabilityError(
-                f"numeric rank {best} is odd; a skew-symmetric matrix has even rank "
-                "(tolerance or domain trouble)"
-            )
-        return best, tuple(ranks), mats
-
-    def decompose(
-        self,
-        samples: int = 7,
-        tol: float = 1e-9,
-        seed: int = 0,
-    ) -> PivotDecomposition:
+    def decompose(self, seed: int = 0) -> PivotDecomposition:
         """Find the rank and a certified invertible principal block.
 
-        Among all numerically invertible principal blocks of size rank we
-        prefer the structurally simplest one: fewest symbolically nonzero
-        entries, then fewest monomials, then lowest row indices.  That keeps
-        the degeneracy relations (and hence the invariants) as plain as the
-        matrix allows.  The winner's determinant is certified symbolically;
-        candidates whose determinant cannot be certified nonzero are skipped.
+        J is taken mod _PRIME at one random point (ln atoms take random
+        residues; a point with a pole mod _PRIME is skipped), and _grow's
+        elimination gives its rank r and a greedy invertible block.  Among
+        the blocks of size r with a nonzero residue minor we prefer the
+        structurally simplest: fewest symbolically nonzero entries, then
+        fewest monomials, then lowest row indices.  That keeps the degeneracy
+        relations (and hence the invariants) as plain as the matrix allows.
+        When C(n, r) exceeds CANDIDATE_BUDGET the grown block is the only
+        candidate.  The first candidate whose determinant certifies wins.
 
-        When C(n, rank) exceeds CANDIDATE_BUDGET, a greedy pass grows the
-        block two rows at a time instead of enumerating.
+        A minor that is nonzero at a random point is a nonzero function
+        (Schwartz-Zippel), so for ln-free J the first candidate certifies.
+        With ln atoms the residue rank can exceed the rank (ln(x*y) - ln(x)
+        - ln(y) is a nonzero canonical form): if no block of size r
+        certifies, r - 2 is tried, down to rank 0.  solve_gamma's check of
+        J w_i = 0 on every column catches a block that is too small.  A
+        determinant that no point of the domain can evaluate raises.
         """
-        rank, ranks, mats = self._rank_profile(samples, tol, seed)
         n = self.n
-        if rank == 0:
-            return PivotDecomposition(0, (), tuple(range(n)), (), EXPR_ONE, ranks)
 
-        if math.comb(n, rank) <= CANDIDATE_BUDGET:
-            candidates = itertools.combinations(range(n), rank)
-        else:
-            candidates = [self._greedy_pivot(mats, rank, tol)]
+        def residues(point):
+            s = [[0 if e.is_zero() else residue(e, point, rng) for e in row] for row in self.rows]
+            if any((s[i][j] + s[j][i]) % _PRIME for i in range(n) for j in range(i, n)):
+                raise StructureError("the matrix is not skew-symmetric at a sample point")
+            return s
 
-        stack = np.stack(mats)
-        scored = []
-        for subset in candidates:
-            rows, cols = np.ix_(subset, subset)
-            good = int(np.sum(numeric_rank(stack[:, rows, cols], tol) == rank))
-            if good * 2 <= len(mats):
-                continue
-            sym = [[self.rows[p][q] for q in subset] for p in subset]
-            nnz = sum(1 for row in sym for e in row if not e.is_zero())
-            monos = sum(e.monomial_count() for row in sym for e in row if not e.is_zero())
-            scored.append(((nnz, monos, subset), subset, sym))
-        if not scored:
-            raise PivotCertificationError(
-                f"no numerically invertible {rank}x{rank} principal block found"
-            )
-        scored.sort(key=lambda t: t[0])
-
-        for _, subset, sym in scored:
-            det = det_exact(sym)
-            if det.is_zero():
-                continue
-            v = zero_verdict(det, self.symbols, self.domain, rng=random.Random(f"pivot:{seed}"))
-            if v.is_nonzero:
-                chosen = set(subset)
-                dep = tuple(i for i in range(n) if i not in chosen)
-                return PivotDecomposition(
-                    rank=rank,
-                    pivot_rows=tuple(subset),
-                    dependent_rows=dep,
-                    pivot_block=tuple(tuple(r) for r in sym),
-                    pivot_det=det,
-                    rank_samples=ranks,
-                )
-        raise PivotCertificationError(
-            "every numerically invertible principal block failed symbolic certification"
-        )
-
-    def _greedy_pivot(self, mats, rank: int, tol: float) -> tuple:
-        """Grow a principal block two rows at a time (odd skew blocks are singular).
-
-        Each step takes the first pair, in row-nnz order, whose grown block
-        numeric_rank finds invertible.  A pair is skipped without that SVD when
-        the 2x2 block of the Schur complement S = M - M[:,C] A^-1 M[C,:] of the
-        chosen block A has sigma_min at or below tol * |A|_2, less a margin
-        for round-off in S: the grown block's sigma_min is at most that of
-        its block of S and its sigma_max at least |A|_2, so numeric_rank
-        would reject it too.
-        """
-        m = mats[0]
-        n = self.n
-        norm = np.linalg.norm(m)  # Frobenius, at least |M|_2
-        row_nnz = [sum(1 for e in self.rows[i] if not e.is_zero()) for i in range(n)]
+        rng = random.Random(f"structure-sample:{seed}")
+        s = next(sample_points(self.symbols, self.domain, rng, 1, residues, exact=_PRIME), None)
+        if s is None:
+            raise StructureError("could not sample points where the matrix is regular")
+        nnz = [[int(not e.is_zero()) for e in row] for row in self.rows]
+        monos = [[0 if e.is_zero() else e.monomial_count() for e in row] for row in self.rows]
+        row_nnz = [sum(row) for row in nnz]
         order = sorted(
             itertools.combinations(range(n), 2), key=lambda p: (row_nnz[p[0]] + row_nnz[p[1]], p)
         )
-        chosen: list = []
-        while len(chosen) < rank:
-            free = set(range(n)).difference(chosen)
-            pairs = [(i, j) for i, j in order if i in free and j in free]
-            tried = range(len(pairs))
-            if chosen:
-                a = m[np.ix_(chosen, chosen)]
-                sv = np.linalg.svd(a, compute_uv=False)
-                schur = m - m[:, chosen] @ np.linalg.solve(a, m[chosen, :])
-                # round-off in S is about n * eps * |M| * (1 + |M| * cond(A) / sigma_min(A))
-                slack = 64 * n * np.finfo(float).eps * norm * (1 + norm * sv[0] / sv[-1] ** 2)
-                p, q = np.array(pairs).T
-                blocks = np.stack([schur[p, p], schur[p, q], schur[q, p], schur[q, q]], axis=-1)
-                sigma = np.linalg.svd(blocks.reshape(-1, 2, 2), compute_uv=False)[:, -1]
-                tried = np.flatnonzero(sigma > tol * sv[0] - slack)
-            found = None
-            for k in tried:
-                trial = sorted(chosen + list(pairs[k]))
-                if numeric_rank(m[np.ix_(trial, trial)], tol) == len(trial):
-                    found = pairs[k]
-                    break
-            if found is None:
-                raise PivotCertificationError(
-                    f"greedy pivot growth stalled at size {len(chosen)} (target {rank})"
-                )
-            chosen = sorted(chosen + list(found))
-        return tuple(chosen)
+        pairs = _grow([list(row) for row in s], order)
+
+        def key(subset):
+            pick = operator.itemgetter(*subset)
+            return (
+                sum([sum(pick(nnz[p])) for p in subset]),
+                sum([sum(pick(monos[p])) for p in subset]),
+                subset,
+            )
+
+        for r in range(2 * len(pairs), 0, -2):
+            if math.comb(n, r) <= CANDIDATE_BUDGET:
+                candidates = sorted(itertools.combinations(range(n), r), key=key)
+            else:
+                candidates = [tuple(sorted(itertools.chain(*pairs[: r // 2])))]
+            for subset in candidates:
+                if len(_rref_mod_p([[s[p][q] for q in subset] for p in subset], r)) < r:
+                    continue
+                sym = tuple(tuple(self.rows[p][q] for q in subset) for p in subset)
+                det = det_exact(sym)
+                if det.is_zero():
+                    continue
+                v = zero_verdict(det, self.symbols, self.domain, rng=random.Random(f"pivot:{seed}"))
+                if v.is_nonzero:
+                    dep = tuple(i for i in range(n) if i not in subset)
+                    return PivotDecomposition(r, subset, dep, sym, det)
+                if not v.samples:
+                    raise StructureError("could not sample points where the matrix is regular")
+        return PivotDecomposition(0, (), tuple(range(n)), (), EXPR_ONE)
+
+
+def _grow(s: list, order) -> list:
+    """The pairs that symplectic elimination of the skew residue matrix s takes, in order.
+
+    Each step takes the first pair (i, j) in `order` with s[i][j] != 0 and
+    replaces s, in place, by its Schur complement against the 2x2 block on
+    i, j, which zeroes rows and columns i and j.  The principal block on the
+    pairs taken before plus (i, j) is invertible exactly when s[i][j] != 0
+    there, so this grows the greedy block two rows at a time (odd skew
+    blocks are singular), and the rank of s is 2 * len(pairs).
+    """
+    pairs = []
+    while (ij := next(((i, j) for i, j in order if s[i][j]), None)) is not None:
+        i, j = ij
+        pairs.append(ij)
+        inv = pow(s[i][j], -1, _PRIME)
+        si, sj = s[i], s[j]
+        for r, row in enumerate(s):
+            if row[i] or row[j]:
+                a, b = row[j] * inv % _PRIME, row[i] * inv % _PRIME
+                s[r] = [(v - a * x + b * y) % _PRIME for v, x, y in zip(row, si, sj)]
+    return pairs

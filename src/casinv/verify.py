@@ -13,7 +13,8 @@ the solver that produced the candidate:
 
 The sampled gradient-rank vote lives here too.  integrate_all proves
 independence from the multipliers modulo a prime instead, and votes only
-from the first multiplier it cannot reduce that way (an ln atom).
+from the first multiplier it cannot reduce that way (an ln atom).  The vote
+is the one place that ranks floats, so numpy is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .expr import (
     Domain,
@@ -38,7 +37,7 @@ from .expr import (
     symbol,
     zero_verdict,
 )
-from .matrix import StructureMatrix, numeric_rank
+from .matrix import StructureMatrix
 
 __all__ = [
     "FLOW_DRIFT_TOL",
@@ -51,6 +50,7 @@ __all__ = [
     "flow_conservation",
     "gradient",
     "gradient_rank",
+    "numeric_rank",
     "random_polynomial_hamiltonian",
 ]
 
@@ -144,6 +144,14 @@ def degeneracy_residual(
 # -- independence ------------------------------------------------------------
 
 
+def numeric_rank(m, tol: float) -> int:
+    """Singular values of the matrix m (2-D, or a list of rows) above tol times the largest."""
+    import numpy as np  # only the ln fallback ranks in floats
+
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > tol * s[:1]))
+
+
 def gradient_rank(
     exprs,
     symbols: VariableSet,
@@ -158,8 +166,9 @@ def gradient_rank(
         return 0
     grads = [d for e in exprs for d in gradient(e, symbols)]
     rng = random.Random(f"gradrank:{seed}")
+    n = symbols.n
     draws = sample_values(grads, symbols, domain, rng, points)
-    ranks = [numeric_rank(np.array(v).reshape(len(exprs), symbols.n), tol) for v in draws]
+    ranks = [numeric_rank([v[k : k + n] for k in range(0, len(v), n)], tol) for v in draws]
     if not ranks:
         raise VerificationError("no usable sample points for the gradient rank")
     return Counter(ranks).most_common(1)[0][0]

@@ -5,8 +5,7 @@ import random
 import numpy as np
 
 from casinv.expr import Domain, Expr, VariableSet, sample_values
-from casinv.matrix import numeric_rank
-from casinv.verify import VerificationError, gradient
+from casinv.verify import VerificationError, gradient, numeric_rank
 
 
 def gradients_parallel(

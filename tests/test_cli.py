@@ -1,9 +1,14 @@
 """Command-line behavior: output shape, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from casinv import matrix
 from casinv.cli import main
 
 
@@ -172,6 +177,9 @@ def test_every_subcommand_rejects_vacuous_budgets(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    # cost ranks modulo a prime and takes no --tol at all
+    _, err = capsys.readouterr()
+    assert ("unrecognized arguments: --tol" if argv[0] == "cost" else argv[-2]) in err
 
 
 def test_json_report_is_valid(capsys):
@@ -287,6 +295,41 @@ def test_sample_overflow_skips_the_point(tmp_path, capsys, flow):
     assert code == 0
     assert "casimir 1 (rows 3, not-needed, eta = 1):\n  z\n" in out
     assert "Traceback" not in err
+
+
+def test_ln_identity_system_steps_down_to_the_true_rank(tmp_path, capsys, monkeypatch):
+    # J[3][4] = ln(x*y) - ln(x) - ln(y) is zero, but not canonically: its three
+    # ln atoms take independent residues, so the residue rank is 4, and
+    # decompose must step down to the certified 2x2 block.  Assert on fields,
+    # not bytes: the residuals come from libm log.
+    grown = []
+    grow = matrix._grow
+    monkeypatch.setattr(matrix, "_grow", lambda s, order: grown.append(grow(s, order)) or grown[-1])
+    p = tmp_path / "lnid.psys"
+    p.write_text(
+        "system lnid\nvars x y z w\ndomain x > 0\ndomain y > 0\n"
+        "J[1][2] = 1\nJ[3][4] = ln(x*y) - ln(x) - ln(y)\n"
+    )
+    code, out, _ = run(capsys, "all", str(p), "--json")
+    data = json.loads(out)
+    assert grown == [[(0, 1), (2, 3)]]
+    assert code == 0 and data["ok"]
+    assert data["rank"] == 2 and data["pivot_rows"] == [1, 2]
+    assert [c["expr"] for c in data["casimirs"]] == ["z", "w"]
+    assert data["gamma_sampled_columns"] == [[3, 4], [4, 3]]
+
+
+def test_pipeline_does_not_import_numpy():
+    # numpy serves only the gradient vote of the ln fallback, imported on use
+    code = (
+        "import sys; from casinv import cli; "
+        "code = cli.main(['all', 'light-top', '--flow']); "
+        "sys.exit(10 + code if 'numpy' in sys.modules else code)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.xfail(

@@ -49,7 +49,7 @@ def test_fixture_certification_needs_no_sampling():
 def test_forms_are_unit_kernel_vectors_of_j():
     systems = [load_fixture(name) for name in fixture_names()]
     systems += [load_system(path) for path in SYSTEMS]
-    assert len(systems) == 12
+    assert len(systems) == 13
     for sys_ in systems:
         mat = sys_.matrix
         gammas = solve_gamma(mat, mat.decompose())
@@ -91,7 +91,6 @@ def test_forged_decomposition_fails_certification():
         dependent_rows=(2, 3, 4, 5),
         pivot_block=block,
         pivot_det=mat.rows[0][1] * mat.rows[1][0],
-        rank_samples=(2,),
     )
     with pytest.raises(GammaCertificationError) as exc:
         solve_gamma(mat, forged)

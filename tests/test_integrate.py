@@ -27,6 +27,7 @@ from casinv.expr import (
     parse,
     random_point,
     random_rational,
+    residue,
 )
 from casinv.fixtures import fixture_names, load_fixture
 from casinv.integrate import (
@@ -419,7 +420,7 @@ def test_residue_is_the_exact_value_mod_p(e, seed, sign):
         want = _exact_value(e, exact, exact_rng)
     except ZeroDivisionError:
         assume(False)
-    got = integrate._residue(e, point, residue_rng)
+    got = residue(e, point, residue_rng)
     assert got == want.numerator * pow(want.denominator, -1, _PRIME) % _PRIME
     # the ln atoms took the same draws, so the rng streams stay in step
     assert residue_rng.getstate() == exact_rng.getstate()
@@ -477,7 +478,7 @@ def test_mod_p_reduction_keeps_the_exact_greedy_rows(rows):
     # scaled to integers, the entries are at most 18 and every minor is at
     # most 4x4, so below p by Hadamard's bound: dependence mod p is exact here
     basis = []
-    residues = [[integrate._residue(number(v), {}) for v in row] for row in rows]
+    residues = [[residue(number(v), {}) for v in row] for row in rows]
     kept = [i for i, row in enumerate(residues) if integrate._joins(basis, row)]
     assert kept == _exact_greedy(rows)
 

@@ -20,8 +20,10 @@ from casinv.expr import (
     zero_verdict,
 )
 from casinv.fixtures import fixture_names, load_fixture
-from casinv import matrix
-from casinv.matrix import JacobiFailure, JacobiReport, RankInstabilityError, StructureMatrix
+from casinv import expr, matrix, verify
+from casinv.linalg import _rref_mod_p
+from casinv.matrix import JacobiFailure, JacobiReport, StructureError, StructureMatrix
+from casinv.poly import _PRIME
 
 VS3 = VariableSet(("x1", "x2", "x3"), ())
 
@@ -254,7 +256,8 @@ def test_rank_of_rotation_bracket():
     mat = upper3(e12="x3", e13="-x2", e23="x1")
     decomp = mat.decompose()
     assert decomp.rank == 2
-    assert decomp.rank_samples == (2,) * 7
+    # every 2x2 block ties on sparsity; the lowest rows win
+    assert decomp.pivot_rows_1based == (1, 2)
 
 
 def test_rank_zero_matrix():
@@ -301,21 +304,20 @@ def test_greedy_fallback_agrees_with_enumeration(monkeypatch):
     assert set(greedy.dependent_rows) == set(full.dependent_rows)
 
 
-def unscreened_greedy_pivot(mat, mats, rank, tol):
-    """Reference: grow the block by the first pair, in row-nnz order, that numeric_rank accepts."""
-    m = mats[0]
-    row_nnz = [sum(1 for e in row if not e.is_zero()) for row in mat.rows]
-    chosen = []
-    while len(chosen) < rank:
-        pairs = itertools.combinations((i for i in range(mat.n) if i not in chosen), 2)
-        for i, j in sorted(pairs, key=lambda p: (row_nnz[p[0]] + row_nnz[p[1]], p)):
+def unscreened_greedy_pivot(m, order) -> list:
+    """Reference: grow the block by the first free pair, in order, whose block is invertible mod p."""
+    chosen, pairs = [], []
+    while True:
+        for i, j in order:
+            if i in chosen or j in chosen:
+                continue
             trial = sorted(chosen + [i, j])
-            if matrix.numeric_rank(m[np.ix_(trial, trial)], 1e-9) == len(trial):
-                chosen = trial
+            if len(_rref_mod_p([[m[p][q] for q in trial] for p in trial], len(trial))) == len(trial):
                 break
         else:
-            return None  # stalled
-    return tuple(chosen)
+            return pairs
+        chosen = trial
+        pairs.append((i, j))
 
 
 @st.composite
@@ -338,54 +340,39 @@ def skew_float_matrices(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(skew_float_matrices())
-def test_screened_greedy_pivot_matches_the_unscreened_loop(m):
-    n = len(m)
-    vs = VariableSet(tuple(f"x{t + 1}" for t in range(n)), ())
-    mat = StructureMatrix(vs, [[parse(str(int(v)), vs) for v in row] for row in m])
-    rank = matrix.numeric_rank(m, 1e-9)
-    want = unscreened_greedy_pivot(mat, [m], rank, 1e-9)
-    try:
-        got = mat._greedy_pivot([m], rank, 1e-9)
-    except matrix.PivotCertificationError:
-        got = None
-    assert got == want
+@given(skew_float_matrices(), st.randoms(use_true_random=False))
+def test_screened_greedy_pivot_matches_the_unscreened_loop(m, rnd):
+    # _grow screens each pair by one entry of the Schur complement of the block so far
+    m = [[int(v) % _PRIME for v in row] for row in m]
+    order = list(itertools.combinations(range(len(m)), 2))
+    rnd.shuffle(order)
+    pairs = matrix._grow([list(row) for row in m], order)
+    assert pairs == unscreened_greedy_pivot(m, order)
+    assert 2 * len(pairs) == len(_rref_mod_p([list(row) for row in m], len(m)))
 
 
 def test_greedy_pivot_screens_out_most_svds(monkeypatch):
-    calls = []
-    numeric_rank = matrix.numeric_rank
-    monkeypatch.setattr(matrix, "numeric_rank", lambda *a: calls.append(a) or numeric_rank(*a))
+    # the rank and the block are decided mod p: nothing is evaluated or ranked in floats
+    def no_floats(*args, **kwargs):
+        raise AssertionError("a float evaluation or rank was made")
+
+    for owner, name in ((verify, "numeric_rank"), (expr, "compile_exprs"), (expr, "_eval_poly")):
+        monkeypatch.setattr(owner, name, no_floats)
     decomp = so3_sum(12).decompose(seed=3)
     assert decomp.rank == 24
-    # 7 rank samples, 1 stacked score, 12 growth steps; the unscreened loop made 1098
-    assert len(calls) <= 25
-
-
-def test_numeric_rank_of_a_stack_matches_each_matrix():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 5, 5))
-    stack = a - a.transpose(0, 2, 1)  # generic skew 5x5: rank 4
-    stack[3] = 0.0
-    stack[4, :2, :] = stack[4, :, :2] = 0.0  # a 3x3 skew block is left: rank 2
-    each = [matrix.numeric_rank(m, 1e-9) for m in stack]
-    assert list(matrix.numeric_rank(stack, 1e-9)) == each == [4, 4, 4, 0, 2, 4]
-    assert np.array_equal(
-        np.linalg.svd(stack, compute_uv=False),
-        [np.linalg.svd(m, compute_uv=False) for m in stack],
-    )
+    assert decomp.dependent_rows_1based == tuple(range(3, 37, 3))
 
 
 def test_odd_numeric_rank_is_refused():
-    # a non-skew matrix with generic rank 1 cannot come from a valid
-    # structure matrix; the rank profiler refuses rather than rounding
+    # a non-skew matrix (here of rank 1) cannot come from a valid structure
+    # matrix; its residues are not skew, and decompose refuses it
     vs = VariableSet(("x1", "x2"), ())
     rows = (
         (EXPR_ZERO, parse("x1", vs)),
         (EXPR_ZERO, EXPR_ZERO),
     )
     mat = StructureMatrix(vs, rows, Domain(), "lopsided")
-    with pytest.raises(RankInstabilityError, match="odd"):
+    with pytest.raises(StructureError, match="skew"):
         mat.decompose()
 
 

@@ -4,8 +4,10 @@ Each file under tests/golden/ holds the exit code on its first line and the
 exact stdout after it.  Flow runs are pinned only for the ln-free systems, so
 that no libm `log` rounding enters the pinned bytes.  Besides the bundled
 systems, the Lie-Poisson systems under tests/systems/ are pinned, since their
-invariants come from the combination stage and the eta search, and so are two
-Nambu systems whose integrating factor needs a solved exponent (x3^3, x1^3).  Regenerate with
+invariants come from the combination stage and the eta search, so(3)^4 for
+the busiest pivot enumeration (495 blocks, ties broken by the lowest rows),
+and two Nambu systems whose integrating factor needs a solved exponent (x3^3,
+x1^3).  Regenerate with
 `PYTHONPATH=src python tests/test_reports.py` after a deliberate change, and
 say in the change log which bytes moved and why.
 """
@@ -33,7 +35,7 @@ for _name in FIXTURES:
                 + (["--flow"] if _flow else [])
                 + (["--json"] if _json else [])
             )
-for _name in ["gl2", "nambu3-sep-f1-2", "nambu3-sep-f4-2", "se3", "so3x12", "so4"]:
+for _name in ["gl2", "nambu3-sep-f1-2", "nambu3-sep-f4-2", "se3", "so3x12", "so3x4", "so4"]:
     for _json in (False, True):
         _key = _name + ("-json" if _json else "")
         CASES[_key] = ["all", str(SYSTEMS / f"{_name}.psys"), "--seed", "42"] + (

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from casinv.expr import (
@@ -27,6 +28,7 @@ from casinv.verify import (
     flow_conservation,
     gradient,
     gradient_rank,
+    numeric_rank,
     random_polynomial_hamiltonian,
 )
 from gradients import gradients_parallel
@@ -75,6 +77,15 @@ def test_degeneracy_residual_small_on_all_fixtures():
         decomp = sys_.matrix.decompose()
         gammas = solve_gamma(sys_.matrix, decomp)
         assert degeneracy_residual(sys_.matrix, gammas) < 1e-9, name
+
+
+def test_numeric_rank_counts_singular_values_above_tol():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 5, 5))
+    stack = a - a.transpose(0, 2, 1)  # generic skew 5x5: rank 4
+    stack[3] = 0.0
+    stack[4, :2, :] = stack[4, :, :2] = 0.0  # a 3x3 skew block is left: rank 2
+    assert [numeric_rank(m, 1e-9) for m in stack] == [4, 4, 4, 0, 2, 4]
 
 
 def test_gradient_rank_counts_independents():
