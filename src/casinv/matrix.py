@@ -248,9 +248,10 @@ class StructureMatrix:
         (Schwartz-Zippel), so for ln-free J the first candidate certifies.
         With ln atoms the residue rank can exceed the rank (ln(x*y) - ln(x)
         - ln(y) is a nonzero canonical form): if no block of size r
-        certifies, r - 2 is tried, down to rank 0.  solve_gamma's check of
-        J w_i = 0 on every column catches a block that is too small.  A
-        determinant that no point of the domain can evaluate raises.
+        certifies, r - 2 is tried, down to rank 0.  A block that is too
+        small fails solve_gamma's check of J w_i = 0 on every column; at
+        rank 0, casimir_check's check of J grad(x_i).  A determinant that no
+        point of the domain can evaluate raises.
         """
         n = self.n
 

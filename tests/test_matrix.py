@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from casinv import expr, matrix, verify
 from casinv.linalg import _rref_mod_p
 from casinv.matrix import JacobiFailure, JacobiReport, StructureError, StructureMatrix
 from casinv.poly import _PRIME
+from casinv.sysfile import load_system
 
 VS3 = VariableSet(("x1", "x2", "x3"), ())
 
@@ -293,6 +295,21 @@ def test_decompose_prefers_sparse_pivot_block():
     assert decomp.rank == 4
     assert decomp.pivot_rows_1based == (1, 2, 4, 5)
     assert decomp.dependent_rows_1based == (3, 6)
+
+
+def test_singular_residue_blocks_never_reach_the_determinant(monkeypatch):
+    # a nonzero residue minor is a nonzero determinant, so on these systems the
+    # first candidate that passes the mod-p screen certifies, and it is the
+    # only one whose determinant is expanded
+    calls = []
+    det_exact = matrix.det_exact
+    monkeypatch.setattr(matrix, "det_exact", lambda rows: calls.append(rows) or det_exact(rows))
+    systems = [load_fixture(name) for name in fixture_names()]
+    systems += [load_system(p) for p in sorted((Path(__file__).parent / "systems").glob("*.psys"))]
+    for sys_ in systems:
+        calls.clear()
+        decomp = sys_.matrix.decompose()
+        assert len(calls) == 1 and len(calls[0]) == decomp.rank, sys_.name
 
 
 def test_greedy_fallback_agrees_with_enumeration(monkeypatch):
