@@ -160,8 +160,10 @@ def section_gamma(sys_: ParsedSystem, args, rep: Report, decomp):
         text = format_expr(coeff)
         rep.say(f"gamma[{dep}][{piv}] = {text}")
         entries[f"{dep},{piv}"] = text
-    if not entries:
+    if not gammas.dependent_rows:
         rep.say("gamma: none (full rank)")
+    elif not entries:
+        rep.say("gamma: none (rank 0)")
     rep.data["gamma"] = entries
     if gammas.sampled_columns:
         cols = ", ".join(f"({i},{j})" for i, j in gammas.sampled_columns)
@@ -406,16 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, system=True):
-        if system:
-            sp.add_argument("system", help="path to a system file, or a bundled system name")
+    def common(sp, sampled=True):
+        sp.add_argument("system", help="path to a system file, or a bundled system name")
         sp.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-        sp.add_argument(
-            "--samples", type=sample_count, default=20, help="points per numeric check (default 20)"
-        )
-        sp.add_argument(
-            "--tol", type=tolerance, default=1e-9, help="numeric zero tolerance (default 1e-9)"
-        )
+        if sampled:
+            sp.add_argument(
+                "--samples", type=sample_count, default=20, help="points per numeric check (default 20)"
+            )
+            sp.add_argument(
+                "--tol", type=tolerance, default=1e-9, help="numeric zero tolerance (default 1e-9)"
+            )
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
 
     sp = sub.add_parser("systems", help="list the bundled example systems")
@@ -426,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_validate)
 
+    # the rank is decided modulo a prime: no sampled check, so no --samples or --tol
     sp = sub.add_parser("rank", help="rank and pivot decomposition")
-    common(sp)
+    common(sp, sampled=False)
     sp.set_defaults(func=cmd_rank)
 
     sp = sub.add_parser("gamma", help="degeneracy relation coefficients")

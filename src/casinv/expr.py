@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .poly import _PRIME, Poly, MONO_SORT_KEY
+from .poly import _PRIME, Poly, mono_order_key, quo
 
 __all__ = [
     "AlgebraError",
@@ -221,7 +221,7 @@ class Expr:
     def const_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self.num.const_value()
+        return Fraction(self.num.const_value())
 
     def as_integer(self):
         """The exact integer value, or None."""
@@ -314,7 +314,7 @@ def _reduce(num: Poly, den: Poly, coprime: bool = False) -> Expr:
         return EXPR_ZERO
     if den.is_const():
         c = den.const_value()
-        return Expr(num if c == 1 else num.scale(1 / c), poly.Poly.one())
+        return Expr(num if c == 1 else num.scale(quo(1, c)), poly.Poly.one())
     if not coprime:
         g = poly.gcd(num, den)
         if not g.is_one():
@@ -322,11 +322,11 @@ def _reduce(num: Poly, den: Poly, coprime: bool = False) -> Expr:
             den = poly.div_exact(den, g)
             if den.is_const():
                 c = den.const_value()
-                return Expr(num if c == 1 else num.scale(1 / c), poly.Poly.one())
+                return Expr(num if c == 1 else num.scale(quo(1, c)), poly.Poly.one())
     _, lc = den.leading()
     if lc != 1:
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
+        num = num.scale(quo(1, lc))
+        den = den.scale(quo(1, lc))
     return Expr(num, den)
 
 
@@ -340,7 +340,7 @@ def _as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return _from_poly(Poly.const(Fraction(x)))
+        return _from_poly(Poly.const(x))
     raise TypeError(f"cannot treat {type(x).__name__} as an expression")
 
 
@@ -435,7 +435,7 @@ def _poly_diff(p: Poly, name: str) -> Expr:
                 if a != name:
                     continue
                 nm = _mono_with_exp(m, i, e - 1)
-                v = plain.get(nm, Fraction(0)) + c * e
+                v = plain.get(nm, 0) + c * e
                 if v:
                     plain[nm] = v
                 else:
@@ -479,7 +479,7 @@ def _eval_poly(p: Poly, values: dict):
     """Float value and a term-wise magnitude scale (for relative zero tests)."""
     total = 0.0
     scale = 0.0
-    for m, c in sorted(p.terms.items(), key=lambda mc: MONO_SORT_KEY(mc[0])):
+    for m, c in sorted(p.terms.items(), key=lambda mc: mono_order_key(mc[0]), reverse=True):
         tv = float(c)
         ts = abs(tv)
         for a, e in m:
@@ -791,7 +791,7 @@ def parse(text: str, symbols: VariableSet) -> Expr:
 # printing
 
 
-def _mono_str(m, c: Fraction, py: dict | None = None):
+def _mono_str(m, c, py: dict | None = None):
     sign = "-" if c < 0 else "+"
     c = abs(c)
     parts = []
@@ -816,7 +816,7 @@ def _mono_str(m, c: Fraction, py: dict | None = None):
 def _poly_str(p: Poly, py: dict | None = None) -> str:
     if p.is_zero():
         return "0"
-    monos = sorted(p.terms.items(), key=lambda mc: MONO_SORT_KEY(mc[0]), reverse=True)
+    monos = sorted(p.terms.items(), key=lambda mc: mono_order_key(mc[0]))
     out = []
     for k, (m, c) in enumerate(monos):
         sign, body = _mono_str(m, c, py)

@@ -95,10 +95,8 @@ def solve_gamma(
         for k, g in zip(pivots, sol):
             w[k] = -g
         forms.append(tuple(w))
-    if r == 0:
-        return GammaMatrix(pivots, deps, tuple(forms), ())
 
-    # certification on all n columns
+    # certification on all n columns; at rank 0 this checks that J's columns vanish
     sampled = []
     for i, w in zip(deps, forms):
         for j, jw in enumerate(mat.apply(w)):

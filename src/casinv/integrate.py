@@ -173,7 +173,7 @@ def _factor_pool(coeffs) -> list:
             for atom, _ in mc:
                 if isinstance(atom, str):
                     add(symbol(atom))
-            rest = poly.div_exact(p, Poly({mc: Fraction(1)}))
+            rest = poly.div_exact(p, Poly({mc: 1}))
             if rest is not None and len(rest.terms) > 1:
                 add(_from_poly(poly.int_primitive(rest)))
     return pool
@@ -366,7 +366,7 @@ def normalize_invariant(e: Expr, symbols: VariableSet) -> Expr:
         e = _from_poly(e.num)
     lc = e.num.leading()[1]
     if lc != 1:
-        e = _reduce(e.num.scale(1 / lc), e.den, coprime=True)
+        e = _reduce(e.num.scale(poly.quo(1, lc)), e.den, coprime=True)
     return e
 
 

@@ -1,18 +1,28 @@
 """Sparse multivariate polynomial arithmetic over exact rationals.
 
-A polynomial is a mapping from monomials to nonzero Fraction coefficients.
-A monomial is a sorted tuple of (atom, exponent) pairs with positive integer
-exponents.  Atoms are either plain strings (symbols) or opaque objects that
-expose a `sort_key` attribute (logarithm atoms, defined in expr.py); this
-module never looks inside an atom beyond identity, hashing and ordering.
+A polynomial is a mapping from monomials to nonzero rational coefficients.
+A coefficient is an int when it is integral and a Fraction otherwise; the
+two compare and hash alike, and ints keep the common case (integer
+coefficients) off Fraction arithmetic.  Every coefficient division goes
+through `quo`, so no quotient is ever a float.  A monomial is a sorted tuple
+of (atom, exponent) pairs with positive integer exponents.  Atoms are either
+plain strings (symbols) or opaque objects that expose a `sort_key` attribute
+(logarithm atoms, defined in expr.py); this module never looks inside an atom
+beyond identity, hashing and ordering.
 
 Monomials are ordered graded-lexicographically: total degree first, then the
 exponent vectors compared atom-by-atom in ascending atom order, where the
 first differing exponent decides (bigger exponent wins).  This is a proper
 monomial order (multiplicative, with 1 minimal), which exact division and the
-GCD routines below rely on.
+GCD routines below rely on.  `mono_order_key` realises it as a tuple key,
+(-degree, ((atom_key, -exponent), ...)), under which the leading monomial is
+the smallest.
 
-GCD first tries to certify that the inputs are coprime, the common case: for
+GCD settles a single-term input in closed form: every factor of a monomial
+is a monomial up to a unit, and a monomial divides a polynomial exactly when
+it divides the polynomial's monomial content, so the gcd is the monomial
+with each exponent capped at the other input's.  Otherwise it first tries to
+certify that the inputs are coprime, the common case: for
 each atom both contain, it fixes the other atoms at seeded values modulo a
 word-size prime and checks that the two univariate images keep their degree
 and are coprime.  A common factor of positive degree in that atom would
@@ -25,13 +35,9 @@ parts, removing integer content at each step so coefficients stay small.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 # monomial: tuple of (atom, exp), sorted by atom_key, exp >= 1
 MONO_ONE: tuple = ()
@@ -90,39 +96,31 @@ def mono_degree(m):
     return sum(e for _, e in m)
 
 
-def mono_cmp(m1, m2):
-    """Graded-lex comparison; returns -1, 0 or 1."""
-    d1, d2 = mono_degree(m1), mono_degree(m2)
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    i = j = 0
-    while i < len(m1) or j < len(m2):
-        if i < len(m1) and j < len(m2):
-            a1, e1 = m1[i]
-            a2, e2 = m2[j]
-            k1, k2 = atom_key(a1), atom_key(a2)
-            if k1 == k2:
-                if e1 != e2:
-                    return 1 if e1 > e2 else -1
-                i += 1
-                j += 1
-            elif k1 < k2:
-                return 1  # m1 carries an earlier atom that m2 lacks
-            else:
-                return -1
-        elif i < len(m1):
-            return 1
-        else:
-            return -1
-    return 0
-
-
-MONO_SORT_KEY = functools.cmp_to_key(mono_cmp)
+def mono_order_key(m):
+    """Key of the graded-lex order, reversed: the leading monomial has the smallest key."""
+    degree, pairs = 0, []
+    for a, e in m:
+        degree += e
+        pairs.append((atom_key(a), -e))
+    return (-degree, tuple(pairs))
 
 
 def mono_key(m):
     """Hashable, deterministically comparable key for a monomial."""
     return tuple((atom_key(a), e) for a, e in m)
+
+
+def _coef(c):
+    """An int or Fraction coefficient as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def quo(a, b):
+    """The exact quotient a / b of int or Fraction values: an int when integral, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coef(a / b)
 
 
 class Poly:
@@ -131,7 +129,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: c if type(c) is int else _coef(c) for m, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -145,13 +143,12 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({MONO_ONE: c}) if c else _ZERO
+        return Poly({MONO_ONE: c if type(c) is int else Fraction(c)}) if c else _ZERO
 
     @staticmethod
     def atom(a, e: int = 1) -> "Poly":
         assert e >= 1
-        return Poly({((a, e),): F1})
+        return Poly({((a, e),): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -162,12 +159,13 @@ class Poly:
         return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
 
     def is_one(self) -> bool:
-        return self.terms.get(MONO_ONE) == F1 and len(self.terms) == 1
+        return self.terms.get(MONO_ONE) == 1 and len(self.terms) == 1
 
-    def const_value(self) -> Fraction:
+    def const_value(self):
+        """The constant's value, an int or a Fraction."""
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(MONO_ONE, F0)
+        return self.terms.get(MONO_ONE, 0)
 
     # -- inspection --------------------------------------------------------
 
@@ -190,7 +188,7 @@ class Poly:
         """(monomial, coefficient) of the graded-lex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=MONO_SORT_KEY)
+        m = min(self.terms, key=mono_order_key)
         return m, self.terms[m]
 
     def monomial_count(self) -> int:
@@ -211,7 +209,7 @@ class Poly:
             return other
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, F0) + c
+            v = out.get(m, 0) + c
             if v:
                 out[m] = v
             else:
@@ -235,7 +233,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                v = out.get(m, F0) + c1 * c2
+                v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
                 else:
@@ -243,10 +241,9 @@ class Poly:
         return Poly(out)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
         if not c:
             return _ZERO
-        if c == F1:
+        if c == 1:
             return self
         return Poly({m: cc * c for m, cc in self.terms.items()})
 
@@ -275,7 +272,7 @@ class Poly:
 _ZERO = Poly.__new__(Poly)
 _ZERO.terms = {}
 _ONE = Poly.__new__(Poly)
-_ONE.terms = {MONO_ONE: F1}
+_ONE.terms = {MONO_ONE: 1}
 
 
 # -- exact division ---------------------------------------------------------
@@ -290,20 +287,20 @@ def div_exact(f: Poly, g: Poly):
     if g.is_one():
         return f
     if g.is_const():
-        return f.scale(F1 / g.const_value())
+        return f.scale(quo(1, g.const_value()))
     glm, glc = g.leading()
     q: dict = {}
     r = dict(f.terms)
     while r:
-        rlm = max(r, key=MONO_SORT_KEY)
+        rlm = min(r, key=mono_order_key)
         t = mono_div(rlm, glm)
         if t is None:
             return None
-        c = r[rlm] / glc
-        q[t] = q.get(t, F0) + c
+        c = quo(r[rlm], glc)
+        q[t] = q.get(t, 0) + c
         for gm, gc in g.terms.items():
             m = mono_mul(t, gm)
-            v = r.get(m, F0) - c * gc
+            v = r.get(m, 0) - c * gc
             if v:
                 r[m] = v
             else:
@@ -327,7 +324,7 @@ def split_by_atom(f: Poly, a) -> dict:
                 rest.append((at, ee))
         d = out.setdefault(e, {})
         rest_t = tuple(rest)
-        d[rest_t] = d.get(rest_t, F0) + c
+        d[rest_t] = d.get(rest_t, 0) + c
     return {e: Poly(d) for e, d in out.items() if any(d.values())}
 
 
@@ -337,7 +334,7 @@ def join_by_atom(parts: dict, a) -> Poly:
         mult = ((a, e),) if e else MONO_ONE
         for m, c in p.terms.items():
             mm = mono_mul(m, mult)
-            v = out.get(mm, F0) + c
+            v = out.get(mm, 0) + c
             if v:
                 out[mm] = v
             else:
@@ -373,18 +370,15 @@ def int_primitive(f: Poly) -> Poly:
     """Scale f to integer coefficients with content 1 and positive leading coeff."""
     if f.is_zero():
         return f
-    den_l = 1
-    for c in f.terms.values():
-        den_l = den_l * c.denominator // math.gcd(den_l, c.denominator)
-    num_g = 0
-    for c in f.terms.values():
-        num_g = math.gcd(num_g, abs(c.numerator))
-    scale = Fraction(den_l, num_g)
-    out = f.scale(scale)
-    _, lc = out.leading()
-    if lc < 0:
-        out = out.scale(-1)
-    return out
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    if den != 1:
+        f = f.scale(den)
+    content = math.gcd(*f.terms.values())
+    if f.leading()[1] < 0:
+        content = -content
+    if content == 1:
+        return f
+    return Poly({m: c // content for m, c in f.terms.items()})
 
 
 def _content_pp(f: Poly, a):
@@ -467,8 +461,20 @@ def gcd(f: Poly, g: Poly) -> Poly:
         return _ONE
     if f == g:
         return f
+    if len(g.terms) == 1:
+        f, g = g, f
+    if len(f.terms) == 1:
+        (m,) = f.terms
+        cap = dict(mono_content(g))
+        shared = tuple((a, min(e, cap[a])) for a, e in m if a in cap)
+        return Poly({shared: 1}) if shared else _ONE
     if certify_coprime(f, g):
         return _ONE
+    return _gcd_prs(f, g)
+
+
+def _gcd_prs(f: Poly, g: Poly) -> Poly:
+    """The primitive remainder sequence gcd of non-constant integer-primitive f and g."""
     universe = f.atoms() | g.atoms()
     a = max(universe, key=atom_key)
     cf, pf = _content_pp(f, a)

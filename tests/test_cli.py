@@ -177,9 +177,10 @@ def test_every_subcommand_rejects_vacuous_budgets(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    # cost ranks modulo a prime and takes no --tol at all
+    # cost and rank decide the rank modulo a prime and take no sampling budget at all
     _, err = capsys.readouterr()
-    assert ("unrecognized arguments: --tol" if argv[0] == "cost" else argv[-2]) in err
+    unknown = argv[0] in ("cost", "rank")
+    assert (f"unrecognized arguments: {argv[-2]}" if unknown else argv[-2]) in err
 
 
 def test_json_report_is_valid(capsys):
@@ -317,6 +318,32 @@ def test_ln_identity_system_steps_down_to_the_true_rank(tmp_path, capsys, monkey
     assert data["rank"] == 2 and data["pivot_rows"] == [1, 2]
     assert [c["expr"] for c in data["casimirs"]] == ["z", "w"]
     assert data["gamma_sampled_columns"] == [[3, 4], [4, 3]]
+
+
+def test_rank_zero_gamma_checks_the_columns_of_j(tmp_path, capsys):
+    # J[1][2] = ln(x*y) - ln(x) - ln(y) is zero but not canonically, so the
+    # rank steps down to 0; the unit forms' column check must still flag it
+    p = tmp_path / "rank0.psys"
+    p.write_text(
+        "system rank0\nvars x y z\ndomain x > 0\ndomain y > 0\n"
+        "J[1][2] = ln(x*y) - ln(x) - ln(y)\n"
+    )
+    code, out, _ = run(capsys, "gamma", str(p))
+    assert code == 0
+    assert "rank: 0 (pivot rows -; dependent rows 1 2 3)" in out
+    assert "gamma: none (rank 0)" in out and "full rank" not in out
+    assert "gamma: columns certified numerically only: (1,2), (2,1)" in out
+    code, out, _ = run(capsys, "all", str(p), "--json")
+    data = json.loads(out)
+    assert code == 0 and data["ok"]
+    assert data["gamma"] == {} and data["gamma_sampled_columns"] == [[1, 2], [2, 1]]
+    assert [c["expr"] for c in data["casimirs"]] == ["x", "y", "z"]
+
+
+def test_full_rank_gamma_says_full_rank(capsys):
+    code, out, _ = run(capsys, "gamma", "symplectic2")
+    assert code == 0
+    assert out.splitlines()[-1] == "gamma: none (full rank)"
 
 
 def test_pipeline_does_not_import_numpy():
