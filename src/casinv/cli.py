@@ -31,7 +31,6 @@ from .matrix import StructureError
 from .sysfile import ParsedSystem, SystemFileError, load_system
 from .verify import (
     FLOW_DRIFT_TOL,
-    VerificationError,
     casimir_check,
     degeneracy_residual,
     flow_conservation,
@@ -465,10 +464,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemFileError as e:
+    except (UsageError, SystemFileError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (
@@ -477,7 +473,6 @@ def main(argv=None) -> int:
         IntegrationError,
         NonElementaryError,
         AlgebraError,
-        VerificationError,
     ) as e:
         print(f"computation failed: {e}", file=sys.stderr)
         return EXIT_COMPUTATION

@@ -460,44 +460,33 @@ def _mono_with_exp(m, i, new_e):
 
 
 def evaluate(e: Expr, point) -> float:
-    """Float value of e at a mapping of symbol values."""
-    v, _ = _eval_quot(e, point)
-    return v
+    """Float value of e at a mapping of symbol values, by walking the tree.
 
+    The pipeline evaluates through compile_exprs; this is the reference the
+    tests check compiled code against.
+    """
 
-def _eval_quot(e: Expr, values: dict):
-    nv, ns = _eval_poly(e.num, values)
-    if e.den.is_one():
-        return nv, ns
-    dv, _ = _eval_poly(e.den, values)
-    if dv == 0:
+    def value(p: Poly) -> float:
+        total = 0.0
+        for m, c in p.terms.items():
+            t = float(c)
+            for a, k in m:
+                if not isinstance(a, str):
+                    arg = evaluate(a.arg, point)
+                    if arg <= 0.0:
+                        raise EvalDomainError("ln of a non-positive value")
+                    t *= math.log(arg) ** k
+                elif a in point:
+                    t *= float(point[a]) ** k
+                else:
+                    raise EvalError(f"no value bound for symbol {a!r}")
+            total += t
+        return total
+
+    den = value(e.den)
+    if den == 0:
         raise EvalDomainError("division by zero while evaluating")
-    return nv / dv, ns
-
-
-def _eval_poly(p: Poly, values: dict):
-    """Float value and a term-wise magnitude scale (for relative zero tests)."""
-    total = 0.0
-    scale = 0.0
-    for m, c in sorted(p.terms.items(), key=lambda mc: mono_order_key(mc[0]), reverse=True):
-        tv = float(c)
-        ts = abs(tv)
-        for a, e in m:
-            if isinstance(a, str):
-                try:
-                    val = float(values[a])
-                except KeyError:
-                    raise EvalError(f"no value bound for symbol {a!r}") from None
-            else:
-                argv, _ = _eval_quot(a.arg, values)
-                if argv <= 0.0:
-                    raise EvalDomainError("ln of a non-positive value")
-                val = math.log(argv)
-            tv = tv * val ** e
-            ts = ts * abs(val) ** e
-        total = total + tv
-        scale = scale + ts
-    return total, scale
+    return value(e.num) / den
 
 
 def residue(e: Expr, point: dict, rng: random.Random | None = None) -> int:
@@ -526,39 +515,36 @@ def residue(e: Expr, point: dict, rng: random.Random | None = None) -> int:
 # sampling and the zero verdict
 
 
-def random_rational(rng: random.Random, exact: bool | int = True):
-    """Random n/d in [1, 10], 16 <= d <= 128: a Fraction, or its float if exact is False.
+def random_rational(rng: random.Random, prime: int | None = None):
+    """Random n/d in [1, 10], 16 <= d <= 128: the float n/d, or n * d^-1 mod prime.
 
-    An int exact is a prime p, and the draw is n * d^-1 mod p.  All make the same rng calls.
+    Both kinds make the same rng calls, so either kind of point is the same draw.
     """
     d = rng.randint(16, 128)
     n = rng.randint(d, 10 * d)
-    if exact is True:
-        return Fraction(n, d)
-    # int / int rounds correctly, as Fraction.__float__ does: the float of the exact draw
-    return n / d if exact is False else n * pow(d, -1, exact) % exact
+    return n / d if prime is None else n * pow(d, -1, prime) % prime
 
 
 def random_point(
     symbols: VariableSet,
     domain: Domain | None = None,
     rng: random.Random | None = None,
-    exact: bool | int = True,
+    prime: int | None = None,
 ) -> dict:
-    """Generic point drawn as `exact` says: variables obey domain signs, parameters positive."""
+    """Floats, or residues mod prime: variables obey domain signs, parameters positive."""
     rng, domain = rng or random.Random(0), domain or Domain()
-    values = {v: domain.sample_sign(v) * random_rational(rng, exact) for v in symbols.variables}
-    values.update((name, random_rational(rng, exact)) for name in symbols.parameters)
+    values = {v: domain.sample_sign(v) * random_rational(rng, prime) for v in symbols.variables}
+    values.update((name, random_rational(rng, prime)) for name in symbols.parameters)
     return values
 
 
 def sample_points(
-    symbols: VariableSet, domain: Domain | None, rng: random.Random, want: int, at, exact=True
+    symbols: VariableSet, domain: Domain | None, rng: random.Random, want: int, at, prime=None
 ):
     """Yield at(point) at the first `want` random points where `at` is defined.
 
     This is the one draw loop behind every sampled check.  Points come from
-    random_point(..., exact) in draw order; a point where `at` raises
+    random_point(..., prime) in draw order; a point where `at` raises
     ZeroDivisionError, ValueError, EvalDomainError or OverflowError (a zero
     denominator, ln of a non-positive value, a float power past the largest
     double) is skipped.
@@ -568,7 +554,7 @@ def sample_points(
     """
     left = want
     for _ in range(50 * want):
-        point = random_point(symbols, domain, rng, exact)
+        point = random_point(symbols, domain, rng, prime)
         try:
             value = at(point)
         except (ZeroDivisionError, ValueError, EvalDomainError, OverflowError):
@@ -586,7 +572,7 @@ def sample_values(exprs, symbols: VariableSet, domain: Domain | None, rng: rando
     symbols.all_symbols() order, the order the compiled function takes.
     """
     f = compile_exprs(exprs, symbols)
-    return sample_points(symbols, domain, rng, points, lambda pt: f(*pt.values()), exact=False)
+    return sample_points(symbols, domain, rng, points, lambda pt: f(*pt.values()))
 
 
 @dataclass(frozen=True)
@@ -627,18 +613,21 @@ def zero_verdict(
 
     The canonical form settles the rational fragment outright: a zero
     numerator is "zero", a nonzero ln-free one is "nonzero", and no point is
-    drawn.  A numerator with ln atoms is sampled at `samples` random
-    rational points in the domain where it is defined; a value exceeding
-    `tol` relative to the term-magnitude scale is a nonzero witness, and
-    survival of all samples yields "probably-zero".
+    drawn.  A numerator with ln atoms is sampled at `samples` random float
+    points in the domain where it is defined, its terms compiled once by
+    compile_exprs.  The value is the sum of the terms and the scale the sum
+    of their magnitudes; a value exceeding `tol` relative to the scale is a
+    nonzero witness, and survival of all samples yields "probably-zero".
     """
     if e.num.is_zero():
         return ZeroVerdict("zero", 0)
     if all(isinstance(a, str) for a in e.num.atoms()):
         return ZeroVerdict("nonzero", 0)
+    f = compile_exprs([_from_poly(Poly({m: c})) for m, c in e.num.terms.items()], symbols)
 
     def at(pt):
-        return (pt, *_eval_poly(e.num, pt))
+        values = f(*pt.values())
+        return pt, sum(values), sum(map(abs, values))
 
     checked = 0
     for pt, nv, ns in sample_points(symbols, domain, rng or random.Random(0), samples, at):

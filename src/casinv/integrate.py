@@ -34,11 +34,14 @@ dC = lam * sum_f m_f w_f, where lam is the nonzero, variable-free scale that
 normalize_invariant applies and m_f is eta at the candidate's own row (0 at
 the others) or the combination's mu_f.  Each w_f has 1 in its own dependent
 slot and 0 in the others, so the invariants are independent exactly when
-their multiplier rows are.  The rows are evaluated modulo the prime at one
-seeded point and reduced in turn: a row that stays nonzero has a nonzero
-minor there, so it is independent as a function; an unlucky point can only
-drop a candidate, never admit a dependent one.  A multiplier with an ln atom
-has no residue: from there on the sampled gradient_rank vote decides.
+their multiplier rows are.  A single form's row is eta times a unit row, so
+once eta is nonzero (zero_verdict: its canonical form, or a sampled witness
+when it has ln atoms) the unit row stands in for it.  A combination's mu_f
+are affine with rational coefficients inside Wang's bound, so they always
+have residues.  The rows are evaluated modulo the prime at one seeded point
+and reduced in turn: a row that stays nonzero has a nonzero minor there, so
+it is independent as a function; an unlucky point can only drop a
+candidate, never admit a dependent one.
 
 Potentials are reconstructed variable by variable, over the active ones
 only (integrate in x1, correct the remainder, move on).  The antiderivative
@@ -70,12 +73,12 @@ from .expr import (
     residue,
     sample_points,
     symbol,
+    zero_verdict,
 )
 from .gamma import GammaMatrix, solve_gamma
 from .linalg import _rref_mod_p, nullspace_fractions
 from .matrix import PivotDecomposition, StructureMatrix
 from .poly import _PRIME, Poly
-from .verify import gradient_rank
 
 __all__ = [
     "NonElementaryError",
@@ -195,7 +198,7 @@ def _sampled_rows(rows_at, unknowns, active, symbols, domain, rng):
     def rows_at_point(point):
         return [r for r in rows_at(lambda e: residue(e, point, rng)) if any(r)]
 
-    batches = list(sample_points(symbols, domain, rng, need, rows_at_point, exact=_PRIME))
+    batches = list(sample_points(symbols, domain, rng, need, rows_at_point, _PRIME))
     if len(batches) < need:
         return None
     return [r for rows in batches for r in rows]
@@ -425,8 +428,6 @@ def _combination_solutions(forms, defect_maps, symbols: VariableSet, domain, see
                 if not mults[fi].is_zero() and not forms[fi][v].is_zero():
                     acc = acc + mults[fi] * forms[fi][v]
             combined.append(acc)
-        if all(c.is_zero() for c in combined):
-            continue
         solutions.append((combined, tuple(mults)))
     return solutions
 
@@ -446,8 +447,8 @@ def _joins(basis: list, row: list) -> bool:
 def _independent(candidates, target, rows, symbols: VariableSet, domain, seed) -> list:
     """The first candidates, up to target, independent of those kept before them.
 
-    Proved from the multiplier rows mod _PRIME (see the module docstring); from
-    the first multiplier without a residue on, gradient_rank's vote decides.
+    Proved from the multiplier rows mod _PRIME (see the module docstring).  A
+    single form's eta that zero_verdict does not find nonzero is skipped.
     """
     rng = random.Random(f"independence:{seed}")
     point = {s: rng.randrange(1, _PRIME) for s in symbols.all_symbols()}
@@ -455,20 +456,15 @@ def _independent(candidates, target, rows, symbols: VariableSet, domain, seed) -
     for cand in candidates:
         if len(kept) == target:
             break
-        if cand.expr.is_zero():
-            continue
-        if basis is not None:
-            mults = dict(cand.multipliers) if cand.eta is None else {cand.rows[0]: cand.eta}
-            try:
-                row = [residue(mults.get(r, EXPR_ZERO), point) for r in rows]
-            except (KeyError, ValueError):  # an ln atom, or a pole mod _PRIME
-                basis = None
-        if basis is None:
-            trial = [c.expr for c in kept] + [cand.expr]
-            independent = gradient_rank(trial, symbols, domain, seed=seed) == len(trial)
+        if cand.eta is not None:
+            eta_rng = random.Random(f"independence-eta:{seed}")
+            if not zero_verdict(cand.eta, symbols, domain, rng=eta_rng).is_nonzero:
+                continue
+            row = [int(r == cand.rows[0]) for r in rows]
         else:
-            independent = _joins(basis, row)
-        if independent:
+            mults = dict(cand.multipliers)
+            row = [residue(mults.get(r, EXPR_ZERO), point) for r in rows]
+        if _joins(basis, row):
             kept.append(cand)
     return kept
 

@@ -262,7 +262,7 @@ class StructureMatrix:
             return s
 
         rng = random.Random(f"structure-sample:{seed}")
-        s = next(sample_points(self.symbols, self.domain, rng, 1, residues, exact=_PRIME), None)
+        s = next(sample_points(self.symbols, self.domain, rng, 1, residues, _PRIME), None)
         if s is None:
             raise StructureError("could not sample points where the matrix is regular")
         nnz = [[int(not e.is_zero()) for e in row] for row in self.rows]
@@ -291,8 +291,6 @@ class StructureMatrix:
                     continue
                 sym = tuple(tuple(self.rows[p][q] for q in subset) for p in subset)
                 det = det_exact(sym)
-                if det.is_zero():
-                    continue
                 v = zero_verdict(det, self.symbols, self.domain, rng=random.Random(f"pivot:{seed}"))
                 if v.is_nonzero:
                     dep = tuple(i for i in range(n) if i not in subset)

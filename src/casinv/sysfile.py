@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .expr import Domain, Expr, ParseError, VariableSet, parse
-from .matrix import StructureError, StructureMatrix
+from .matrix import StructureMatrix
 
 __all__ = ["SystemFileError", "Expectations", "ParsedSystem", "parse_system", "load_system"]
 
@@ -176,15 +176,11 @@ def parse_system(text: str, source: str = "<string>") -> ParsedSystem:
             err(f"entry J[{i}][{j}] out of range for {n} variables", ln)
         upper[(i, j)] = parse_expr(src, ln)
 
-    try:
-        mat = StructureMatrix.from_upper(symbols, upper, domain, name=name)
-    except StructureError as e:
-        err(str(e), 1)
+    mat = StructureMatrix.from_upper(symbols, upper, domain, name=name)
 
     ham = parse_expr(*h_line) if h_line else None
 
     expect = Expectations()
-    casimir_count = 0
     for rest, ln in expect_lines:
         expect_head, _, tail = rest.partition(" ")
         tail = tail.strip()
@@ -204,7 +200,6 @@ def parse_system(text: str, source: str = "<string>") -> ParsedSystem:
                 err("expected 'expect casimir <k> = <expression> [@ tag]'", ln)
             body, tag = _split_tag(m.group(2), err, ln)
             expect.casimirs[int(m.group(1))] = (parse_expr(body, ln), tag)
-            casimir_count += 1
         elif expect_head == "cost":
             try:
                 expect.cost = Fraction(tail)

@@ -11,10 +11,10 @@ the solver that produced the candidate:
   flow check generates one Python kernel that runs a whole attempt over
   local floats, so the per-step cost is the arithmetic alone.
 
-The sampled gradient-rank vote lives here too.  integrate_all proves
-independence from the multipliers modulo a prime instead, and votes only
-from the first multiplier it cannot reduce that way (an ln atom).  The vote
-is the one place that ranks floats, so numpy is imported there, on first use.
+The sampled gradient-rank vote lives here too, as a public check that
+shares nothing with the solver: integrate_all proves independence from the
+multipliers modulo a prime and never votes.  numeric_rank is the one place
+that ranks floats, so numpy is imported there, on first use.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def degeneracy_residual(
 
 def numeric_rank(m, tol: float) -> int:
     """Singular values of the matrix m (2-D, or a list of rows) above tol times the largest."""
-    import numpy as np  # only the ln fallback ranks in floats
+    import numpy as np  # the pipeline never ranks in floats, so never loads numpy
 
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.sum(s > tol * s[:1]))

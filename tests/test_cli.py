@@ -298,6 +298,12 @@ def test_sample_overflow_skips_the_point(tmp_path, capsys, flow):
     assert "Traceback" not in err
 
 
+LNID = (
+    "system lnid\nvars x y z w\ndomain x > 0\ndomain y > 0\n"
+    "J[1][2] = 1\nJ[3][4] = ln(x*y) - ln(x) - ln(y)\n"
+)
+
+
 def test_ln_identity_system_steps_down_to_the_true_rank(tmp_path, capsys, monkeypatch):
     # J[3][4] = ln(x*y) - ln(x) - ln(y) is zero, but not canonically: its three
     # ln atoms take independent residues, so the residue rank is 4, and
@@ -307,10 +313,7 @@ def test_ln_identity_system_steps_down_to_the_true_rank(tmp_path, capsys, monkey
     grow = matrix._grow
     monkeypatch.setattr(matrix, "_grow", lambda s, order: grown.append(grow(s, order)) or grown[-1])
     p = tmp_path / "lnid.psys"
-    p.write_text(
-        "system lnid\nvars x y z w\ndomain x > 0\ndomain y > 0\n"
-        "J[1][2] = 1\nJ[3][4] = ln(x*y) - ln(x) - ln(y)\n"
-    )
+    p.write_text(LNID)
     code, out, _ = run(capsys, "all", str(p), "--json")
     data = json.loads(out)
     assert grown == [[(0, 1), (2, 3)]]
@@ -346,11 +349,15 @@ def test_full_rank_gamma_says_full_rank(capsys):
     assert out.splitlines()[-1] == "gamma: none (full rank)"
 
 
-def test_pipeline_does_not_import_numpy():
-    # numpy serves only the gradient vote of the ln fallback, imported on use
+def test_pipeline_does_not_import_numpy(tmp_path):
+    # numpy serves only the public gradient_rank and numeric_rank, imported on use
+    lnid = tmp_path / "lnid.psys"
+    lnid.write_text(LNID)
+    runs = [["all", "light-top", "--flow"], ["all", "lv3-j1"], ["all", "lv3-j2"]]
+    runs.append(["all", str(lnid)])
     code = (
         "import sys; from casinv import cli; "
-        "code = cli.main(['all', 'light-top', '--flow']); "
+        f"code = max(cli.main(argv) for argv in {runs!r}); "
         "sys.exit(10 + code if 'numpy' in sys.modules else code)"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

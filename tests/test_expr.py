@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from casinv.expr import (
     Domain,
@@ -33,7 +33,7 @@ from casinv.expr import (
     zero_verdict,
     _reduce,
 )
-from casinv.poly import _PRIME
+from casinv.poly import _PRIME, Poly
 
 VS = VariableSet(("x1", "x2", "x3"), ("a", "b", "c"))
 
@@ -245,6 +245,49 @@ def test_zero_verdict_counts_usable_points():
     assert rng.getstate() == replay.getstate()
 
 
+def _reference_verdict(e, rng, samples=20, tol=1e-9):
+    """Reference: zero_verdict's (status, samples) for ln-bearing e, walking each numerator term."""
+    terms = [_reduce(Poly({m: c}), Poly.one()) for m, c in e.num.terms.items()]
+
+    def at(pt):
+        values = [evaluate(t, pt) for t in terms]
+        return sum(values), sum(map(abs, values))
+
+    checked = 0
+    for nv, ns in sample_points(VS, None, rng, samples, at):
+        checked += 1
+        if abs(nv) > tol * max(ns, 1.0):
+            return "nonzero", checked
+    return "probably-zero", checked
+
+
+_ln_leaves = st.one_of(
+    st.sampled_from(
+        ["x1", "x2", "a", "ln(x1)", "ln(x2 + x3)", "ln(a*x3)", "ln(x1*x2) - ln(x1) - ln(x2)"]
+    ).map(lambda text: parse(text, VS)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).map(number),
+)
+_ln_exprs = st.recursive(
+    _ln_leaves,
+    lambda kids: st.one_of(
+        st.tuples(kids, kids).map(lambda t: t[0] + t[1]),
+        st.tuples(kids, kids).map(lambda t: t[0] * t[1]),
+        st.tuples(kids, kids.filter(lambda e: not e.is_zero())).map(lambda t: t[0] / t[1]),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ln_exprs, st.integers(0, 2**32))
+def test_compiled_zero_verdict_matches_the_tree_walk(e, seed):
+    assume(any(not isinstance(a, str) for a in e.num.atoms()))
+    rng, replay = random.Random(seed), random.Random(seed)
+    v = zero_verdict(e, VS, rng=rng)
+    assert (v.status, v.samples) == _reference_verdict(e, replay)
+    assert rng.getstate() == replay.getstate()
+
+
 # -- parser errors ----------------------------------------------------------
 
 
@@ -309,14 +352,26 @@ def test_variable_set_validation():
 # -- sampling ----------------------------------------------------------------
 
 
+def _exact_draw(rng) -> Fraction:
+    """Reference: the rational n/d that random_rational draws, exactly."""
+    d = rng.randint(16, 128)
+    return Fraction(rng.randint(d, 10 * d), d)
+
+
+def _exact_point(dom, rng) -> dict:
+    """Reference: random_point's draws as Fractions, variables then parameters."""
+    return {s: dom.sample_sign(s) * _exact_draw(rng) for s in VS.all_symbols()}
+
+
 def test_random_rational_range():
-    rng = random.Random(0)
+    rng, exact = random.Random(0), random.Random(0)
     seen_nontrivial = 0
     for _ in range(200):
-        q = random_rational(rng)
+        q = _exact_draw(exact)
         assert 1 <= q <= 10
         assert q.denominator <= 128
         seen_nontrivial += q.denominator > 1
+        assert random_rational(rng) == float(q)
     assert seen_nontrivial > 150  # almost never lands on an integer
 
 
@@ -352,8 +407,8 @@ def test_float_draws_are_the_exact_draws_rounded(seed, s1, s2, s3):
     dom = Domain({v: s for v, s in zip(VS.variables, (s1, s2, s3)) if s})
     exact, floats = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        want = {k: float(v) for k, v in random_point(VS, dom, exact).items()}
-        got = random_point(VS, dom, floats, exact=False)
+        want = {k: float(v) for k, v in _exact_point(dom, exact).items()}
+        got = random_point(VS, dom, floats)
         assert list(got) == list(want) == list(VS.all_symbols())
         assert all(type(v) is float and v == want[k] for k, v in got.items())
     # the same rng calls, so the draws that follow stay the same too
@@ -365,8 +420,8 @@ def test_residue_draws_are_the_exact_draws_mod_p(seed, s1, s2, s3):
     dom = Domain({v: s for v, s in zip(VS.variables, (s1, s2, s3)) if s})
     exact, residues = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        want = random_point(VS, dom, exact)
-        got = random_point(VS, dom, residues, exact=_PRIME)
+        want = _exact_point(dom, exact)
+        got = random_point(VS, dom, residues, _PRIME)
         assert list(got) == list(want) == list(VS.all_symbols())
         for k, v in got.items():
             assert type(v) is int and abs(v) < _PRIME
