@@ -158,7 +158,12 @@ def exactness_defects(coeffs, symbols: VariableSet) -> dict:
 
 
 def _factor_pool(coeffs) -> list:
-    """Candidate eta factors read off the coefficients, deterministic order."""
+    """Candidate eta factors read off the coefficients, deterministic order.
+
+    A multi-term factor is split by its content in each symbol, recursively,
+    so (x + y)*(z + 1) enters as x + y and z + 1.  Factors whose symbols do
+    not separate, such as (x + y + z)*(x - y + 2*z), stay whole.
+    """
     pool = []
     seen = set()
 
@@ -168,17 +173,27 @@ def _factor_pool(coeffs) -> list:
         seen.add(e)
         pool.append(e)
 
+    def add_poly(p: Poly):
+        mc = poly.mono_content(p)
+        for atom, _ in mc:
+            if isinstance(atom, str):
+                add(symbol(atom))
+        rest = poly.div_exact(p, Poly({mc: 1}))
+        if rest is None or len(rest.terms) < 2:
+            return
+        for a in sorted((a for a in rest.atoms() if isinstance(a, str)), key=poly.atom_key):
+            cont, pp = poly._content_pp(rest, a)
+            if not cont.is_const():
+                add_poly(cont)
+                add_poly(pp)
+                return
+        add(_from_poly(poly.int_primitive(rest)))
+
     for c in coeffs:
         if c.is_zero() or c.is_constant():
             continue
-        for p in (c.num, c.den):
-            mc = poly.mono_content(p)
-            for atom, _ in mc:
-                if isinstance(atom, str):
-                    add(symbol(atom))
-            rest = poly.div_exact(p, Poly({mc: 1}))
-            if rest is not None and len(rest.terms) > 1:
-                add(_from_poly(poly.int_primitive(rest)))
+        add_poly(c.num)
+        add_poly(c.den)
     return pool
 
 

@@ -9,7 +9,11 @@ the solver that produced the candidate:
   tight drift.  The CLI's flow check runs the system's own Hamiltonian;
   the tests also run random ones from random_polynomial_hamiltonian.  Each
   flow check generates one Python kernel that runs a whole attempt over
-  local floats, so the per-step cost is the arithmetic alone.
+  local floats.  The kernel splits every field component and watched
+  function into coefficients and variable parts: the coefficients, all the
+  parameter arithmetic, are computed once per attempt, and each step does
+  only the variable arithmetic, with each ln of a variable argument taken
+  once per stage.
 
 The sampled gradient-rank vote lives here too, as a public check that
 shares nothing with the solver: integrate_all proves independence from the
@@ -30,7 +34,10 @@ from .expr import (
     EXPR_ZERO,
     Expr,
     VariableSet,
+    _from_poly,
+    _reduce,
     differentiate,
+    free_symbols,
     number,
     python_source,
     sample_values,
@@ -38,6 +45,7 @@ from .expr import (
     zero_verdict,
 )
 from .matrix import StructureMatrix
+from .poly import Poly, mono_order_key
 
 __all__ = [
     "FLOW_DRIFT_TOL",
@@ -205,13 +213,14 @@ def flow_conservation(
     its own truncation error, so each trajectory backs off down the scale
     ladder until the whole window [0, t_end] completes: an attempt is
     abandoned when a declared-positive variable dips below 1e-6, any
-    coordinate escapes past 1e6, or a step leaves the domain of the field
-    or a watched function (overflow, division by zero, ln of a non-positive
-    value).  The attempts run in one kernel from _rk4_kernel, compiled once
-    per call.  An attempt that completes with the Hamiltonian drifting by
-    more than FLOW_DRIFT_TOL is retried the same way: H is conserved by
-    construction, so that drift is integrator error, not evidence against
-    any invariant.  The last scale is judged as it comes.
+    coordinate escapes past 1e6 or stops being finite, a drift is NaN, or a
+    step leaves the domain of the field or a watched function (overflow,
+    division by zero, ln of a non-positive value).  The attempts run in one
+    kernel from _rk4_kernel, compiled once per call.  An attempt that
+    completes with the Hamiltonian drifting by more than FLOW_DRIFT_TOL is
+    retried the same way: H is conserved by construction, so that drift is
+    integrator error, not evidence against any invariant.  The last scale is
+    judged as it comes.
     Conservation is scale-free, so drift over a completed window at a
     resolvable scale is the honest measurement.  Drift is |f(x_t) - f(x_0)|
     scaled by 1 + |f(x_0)|, maximized over steps and completed trajectories.
@@ -255,62 +264,176 @@ def flow_conservation(
     )
 
 
+def _split(e: Expr, variables) -> tuple:
+    """e = N/D as sums over variable parts: (num, den), lists of (coefficient, part).
+
+    A variable part is a monomial in the variables and in the ln atoms whose
+    argument involves a variable; the coefficient is the rest, an Expr in the
+    parameters and in ln of parameter-only arguments.  Each list is in
+    graded-lex order of the parts, so N = sum(c * part for c, part in num).
+    When D has no variable part, each coefficient is divided by D exactly and
+    den is None; otherwise D = sum(d * part for d, part in den).
+    """
+
+    def parts(p: Poly) -> list:
+        moving = {
+            a for a in p.atoms()
+            if (a in variables if isinstance(a, str) else free_symbols(a.arg) & variables)
+        }
+        out: dict = {}
+        for m, c in p.terms.items():
+            part = tuple(ae for ae in m if ae[0] in moving)
+            rest = tuple(ae for ae in m if ae[0] not in moving)
+            out.setdefault(part, {})[rest] = c
+        ordered = sorted(out.items(), key=lambda pd: mono_order_key(pd[0]))
+        return [(Poly(d), part) for part, d in ordered]
+
+    num, den = parts(e.num), parts(e.den)
+    if len(den) == 1 and not den[0][1]:
+        return [(_reduce(c, e.den), part) for c, part in num], None
+    return [(_from_poly(c), m) for c, m in num], [(_from_poly(d), m) for d, m in den]
+
+
 def _rk4_kernel(field, watchers, symbols: VariableSet, guarded):
-    """Compile one flow attempt into `_run(*values, h, steps) -> (step, drifts)`.
+    """One flow attempt compiled from _rk4_source: `_run(*values, h, steps) -> (step, drifts)`."""
+    ns = {"log": math.log, "_FAIL": (OverflowError, ZeroDivisionError, ValueError)}
+    exec(_rk4_source(field, watchers, symbols, guarded), ns)
+    return ns["_run"]
+
+
+def _rk4_source(field, watchers, symbols: VariableSet, guarded) -> str:
+    """Source of one flow attempt, `_run(*values, h, steps) -> (step, drifts)`.
 
     `_run` takes the start point and the parameters in symbols.all_symbols()
     order, then runs up to `steps` RK4 steps of size h along x' = field.
     After each step it applies the abort guards (a guarded variable below
-    1e-6, any coordinate past 1e6) and tracks each watcher's drift
-    |w(x_t) - w(x_0)| / (1 + |w(x_0)|).  It returns (steps, drifts) for a
-    completed window, and (k, None) for an attempt that ends at step k: by a
-    guard, or by an evaluation that overflows, divides by zero or leaves
-    log's domain (k = 0 when that happens at the start point).
+    1e-6, any coordinate past 1e6 or not finite) and tracks each watcher's
+    drift |w(x_t) - w(x_0)| / (1 + |w(x_0)|).  It returns (steps, drifts)
+    for a completed window, and (k, None) for an attempt that ends at step k:
+    by a guard, by a drift that is NaN, or by an evaluation that overflows,
+    divides by zero or leaves log's domain.  k = 0 when that happens at the
+    start point, and k = 1 when a coefficient only the field uses fails.
 
+    The kernel is specialised to each attempt's parameters.  Every field
+    component and watcher is written through _split as sums over variable
+    parts, and each distinct coefficient that is not a number gets one local
+    (_c0, _c1, ...), computed once per attempt, up to sign; numbers are
+    inlined and +-1 dropped.  So a step does no parameter arithmetic, except
+    inside an ln argument that mixes variables and parameters, and no
+    division unless a denominator has a variable part.  Within a stage, and
+    across the watchers, each ln atom with a variable argument is computed
+    once (_l0, _l1, ...).  A square is written f*f, so an overflow there
+    gives inf, which the guards catch at the same step, where pow raised.
     The body is straight-line code over locals, one name per coordinate and
-    stage, and every float operation is the one the plain loop would do, in
-    its order, so the floats are the same bit for bit; 0.5 * h and h / 6.0
-    are hoisted, since `0.5 * h * k` multiplies them first anyway.  Generated
-    names all start with `_`, which no system identifier can, so no symbol
-    shadows them.
+    stage.  Generated names all start with `_`,
+    which no system identifier can, so no symbol shadows them.
     """
     n = symbols.n
     xs = [f"_s{i}" for i in range(n)]
     ys = [f"_y{i}" for i in range(n)]
     ps = [f"_s{n + j}" for j in range(len(symbols.parameters))]
-    m = len(watchers)
+    params = dict(zip(symbols.parameters, ps))
+    variables = set(symbols.variables)
+    coefs: dict = {}  # coefficient with a positive leading term -> its local
+    hoisted = []  # the lines computing them, in order of first use
+    written: dict = {}  # coefficient -> (negative, source)
 
-    def at(exprs, point):
-        py = dict(zip(symbols.all_symbols(), point + ps))
-        return [python_source(e, py) for e in exprs]
+    def coef(c: Expr):
+        """(negative, source), source None for a unit coefficient."""
+        if c in written:
+            return written[c]
+        if c.is_constant():
+            v = c.const_value()
+            written[c] = v < 0, None if abs(v) == 1 else _number_source(abs(v))
+            return written[c]
+        negative = c.num.leading()[1] < 0
+        key = -c if negative else c
+        if key not in coefs:
+            coefs[key] = f"_c{len(coefs)}"
+            hoisted.append(f"{coefs[key]} = {python_source(key, params)}")
+        written[c] = negative, coefs[key]
+        return written[c]
+
+    def emit(splits, point):
+        """Lines computing the shared ln atoms at point, and each split expression's source."""
+        names = dict(zip(symbols.variables, point))
+        atoms: dict = {}
+
+        def total(terms):
+            out = []
+            for k, (c, part) in enumerate(terms):
+                negative, src = coef(c)
+                factors = [] if src is None else [src]
+                for a, e in part:
+                    f = names[a] if isinstance(a, str) else atoms.setdefault(a, f"_l{len(atoms)}")
+                    factors.append(f if e == 1 else f"({f}*{f})" if e == 2 else f"{f}**{e}")
+                body = "*".join(factors) or "1.0"
+                sign = "-" if negative else ("" if k == 0 else "+")
+                out.append(f"{sign}{body}" if k == 0 else f" {sign} {body}")
+            return "".join(out) or "0.0"
+
+        srcs = [
+            total(num) if den is None else f"({total(num)})/({total(den)})" for num, den in splits
+        ]
+        py = {**names, **params}
+        lines = [f"{name} = log({python_source(a.arg, py)})" for a, name in atoms.items()]
+        return lines, srcs
+
+    m = len(watchers)
+    watched = [_split(e, variables) for e in watchers]
+    moved = [_split(e, variables) for e in field]
+    base_logs, base = emit(watched, xs)
+    watcher_coefs = len(hoisted)  # emitted first; the rest only the field uses
+    stages = []
+    point = xs
+    for k, lead in ((1, "_hh"), (2, "_hh"), (3, "_h"), (4, None)):
+        stages.append((k, lead, emit(moved, point)))
+        point = ys
+    logs, now = emit(watched, xs)
 
     body = ["_hh = 0.5 * _h", "_h6 = _h / 6.0", "try:"]
-    body += [f"    _b{j} = {src}" for j, src in enumerate(at(watchers, xs))]
+    body += ["    " + line for line in hoisted[:watcher_coefs] + base_logs]
+    body += [f"    _b{j} = {src}" for j, src in enumerate(base)]
     body += ["except _FAIL:", "    return 0, None"]
+    if hoisted[watcher_coefs:]:
+        body += ["try:", *("    " + line for line in hoisted[watcher_coefs:])]
+        body += ["except _FAIL:", "    return 1, None"]
     body += [f"_m{j} = 1.0 + abs(_b{j})" for j in range(m)]
     body += [f"_t{j} = 0.0" for j in range(m)]
     body += ["for _i in range(_n):", "    try:"]
-    stage = xs
-    for k, lead in ((1, "_hh"), (2, "_hh"), (3, "_h"), (4, None)):
-        body += [f"        _k{k}_{i} = {src}" for i, src in enumerate(at(field, stage))]
+    for k, lead, (lines, srcs) in stages:
+        body += ["        " + line for line in lines]
+        body += [f"        _k{k}_{i} = {src}" for i, src in enumerate(srcs)]
         if lead:
             body += [f"        _y{i} = _s{i} + {lead} * _k{k}_{i}" for i in range(n)]
-            stage = ys
     body += [
         f"        _s{i} = _s{i} + _h6 * (_k1_{i} + 2.0 * _k2_{i} + 2.0 * _k3_{i} + _k4_{i})"
         for i in range(n)
     ]
-    escape = [f"_s{g} < 1e-6" for g in guarded] + [f"abs(_s{i}) > 1e6" for i in range(n)]
-    body += [f"        if {' or '.join(escape)}:", "            return _i + 1, None"]
-    body += [f"        _w{j} = {src}" for j, src in enumerate(at(watchers, xs))]
+    # chained comparisons are False for NaN, so a non-finite coordinate escapes too
+    inside = [f"{'1e-6' if i in guarded else '-1e6'} <= _s{i} <= 1e6" for i in range(n)]
+    body += [f"        if not ({' and '.join(inside)}):", "            return _i + 1, None"]
+    body += ["        " + line for line in logs]
+    body += [f"        _w{j} = {src}" for j, src in enumerate(now)]
     body += ["    except _FAIL:", "        return _i + 1, None"]
     for j in range(m):
-        body += [f"    _d = abs(_w{j} - _b{j}) / _m{j}", f"    if _d > _t{j}:", f"        _t{j} = _d"]
+        body += [
+            f"    _d = abs(_w{j} - _b{j}) / _m{j}",
+            f"    if not _d <= _t{j}:",
+            "        if _d != _d:",
+            "            return _i + 1, None",
+            f"        _t{j} = _d",
+        ]
     body += [f"return _n, ({', '.join(f'_t{j}' for j in range(m))},)"]
-    src = f"def _run({', '.join(xs + ps)}, _h, _n):\n" + "\n".join("    " + line for line in body)
-    ns = {"log": math.log, "_FAIL": (OverflowError, ZeroDivisionError, ValueError)}
-    exec(src, ns)
-    return ns["_run"]
+    return f"def _run({', '.join(xs + ps)}, _h, _n):\n" + "\n".join("    " + line for line in body)
+
+
+def _number_source(v) -> str:
+    """A positive rational as a float literal, or as exact Python when no float holds it."""
+    try:
+        return repr(float(v))
+    except OverflowError:
+        return str(v.numerator) if v.denominator == 1 else f"({v.numerator}/{v.denominator})"
 
 
 def random_polynomial_hamiltonian(

@@ -286,6 +286,33 @@ def test_flow_leaving_the_domain_aborts_the_attempt(tmp_path, capsys, h):
     assert "Traceback" not in err
 
 
+def test_flow_nan_state_fails_the_check(tmp_path, capsys):
+    # x' = 1e300*y overflows in the first stage and every coordinate turns
+    # NaN; NaN passes no comparison, so it used to slip past the escape test
+    # and the drift maximum and report 5/5 trajectories with zero drift
+    p = tmp_path / "huge.psys"
+    p.write_text("system huge\nvars x y\nJ[1][2] = 10^300\nH = 1/2*x^2 + 1/2*y^2\n")
+    code, out, err = run(capsys, "all", str(p), "--flow")
+    assert code == 1
+    assert "flow: 0/5 trajectories" in out
+    assert "#4 at t=0.001 (scale 0.0625)" in out
+    assert "Traceback" not in err
+
+
+def test_eta_from_a_split_coefficient_factor(tmp_path, capsys):
+    # the Nambu bracket of C = z + ln(z) + ln(y) + 3*ln(x + y): eta is
+    # (z + 1)/z, whose factor z + 1 is only a content factor of the
+    # coefficient denominator x*z + y*z + x + y = (x + y)*(z + 1)
+    p = tmp_path / "nambu-ln.psys"
+    p.write_text(
+        "system nambu-ln\nvars x y z\ndomain x > 0\ndomain y > 0\ndomain z > 0\n"
+        "J[1][2] = (z + 1)/z\nJ[1][3] = (-x - 4*y)/(x*y + y^2)\nJ[2][3] = 3/(x + y)\n"
+    )
+    code, out, err = run(capsys, "all", str(p))
+    assert code == 0, out + err
+    assert "eta = (z + 1)/z):\n  z + 3*ln(x + y) + ln(y) + ln(z)\n" in out
+
+
 @pytest.mark.parametrize("flow", [[], ["--flow"]])
 def test_sample_overflow_skips_the_point(tmp_path, capsys, flow):
     # x^400 overflows a double for x > 5.9, where sampled points often land;

@@ -2,15 +2,20 @@
 
 import math
 import random
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casinv.expr import (
     EXPR_ZERO,
     VariableSet,
+    _from_poly,
     compile_exprs,
     evaluate,
+    free_symbols,
     parse,
     random_point,
     sample_values,
@@ -18,6 +23,7 @@ from casinv.expr import (
 from casinv.fixtures import fixture_names, load_fixture
 from casinv.gamma import solve_gamma
 from casinv.integrate import integrate_all
+from casinv.poly import Poly
 from casinv.sysfile import parse_system
 from casinv.verify import (
     FLOW_DRIFT_TOL,
@@ -31,6 +37,7 @@ from casinv.verify import (
     numeric_rank,
     random_polynomial_hamiltonian,
 )
+from casinv.verify import _rk4_source, _split
 from gradients import gradients_parallel
 
 VS = VariableSet(("x", "y"), ("a",))
@@ -219,6 +226,70 @@ def test_sample_values_skips_singular_points_in_draw_order():
     assert skipped > 0
 
 
+def split_evaluator(exprs, symbols):
+    """Float values of exprs through verify._split, in the generated kernel's operations.
+
+    Returns (coefficients, at).  coefficients(values) evaluates the
+    non-numeric coefficients once, at the start point and parameters;
+    at(values, coefs) takes each ln atom of a variable argument once, forms
+    each term as its coefficient times its factors, left to right (a square
+    as f * f, a higher power with **), and sums the terms left to right.
+    Numeric and +-1 coefficients, which the kernel inlines or drops, enter
+    as floats: multiplying by 1.0 or -1.0 is exact.
+    """
+    n = symbols.n
+    variables = set(symbols.variables)
+    splits = [_split(e, variables) for e in exprs]
+    sums = [s for num, den in splits for s in (num, den) if s is not None]
+    coefs = list(dict.fromkeys(c for s in sums for c, _ in s if not c.is_constant()))
+    numbers = {c: float(c.const_value()) for s in sums for c, _ in s if c.is_constant()}
+    atoms = list(
+        dict.fromkeys(a for s in sums for _, part in s for a, _ in part if not isinstance(a, str))
+    )
+    f_coef = compile_exprs(coefs, symbols)
+    f_arg = compile_exprs([a.arg for a in atoms], symbols)
+    # a coefficient's slot: the compiled ones, then the numbers; a factor's
+    # slot in the point: the variables, then the ln atoms
+    cslot = {c: k for k, c in enumerate(coefs + list(numbers))}
+    slot = {v: i for i, v in enumerate(symbols.variables)}
+    slot.update((a, n + k) for k, a in enumerate(atoms))
+    plan = [
+        tuple(
+            None if s is None else [(cslot[c], [(slot[a], e) for a, e in part]) for c, part in s]
+            for s in pair
+        )
+        for pair in splits
+    ]
+
+    def coefficients(values):
+        return list(f_coef(*values)) + list(numbers.values())
+
+    def total(terms, point, cv):
+        acc = None
+        for c, factors in terms:
+            t = cv[c]
+            for i, e in factors:
+                f = point[i]
+                t = t * (f if e == 1 else f * f if e == 2 else f**e)
+            acc = t if acc is None else acc + t
+        return 0.0 if acc is None else acc
+
+    def at(values, cv):
+        point = values[:n] + [math.log(v) for v in f_arg(*values)]
+        return [
+            total(num, point, cv) if den is None else total(num, point, cv) / total(den, point, cv)
+            for num, den in plan
+        ]
+
+    return coefficients, at
+
+
+def canonical_evaluator(exprs, symbols):
+    """The canonical forms N/D compiled whole, in split_evaluator's interface."""
+    f = compile_exprs(exprs, symbols)
+    return (lambda values: []), (lambda values, cv: f(*values))
+
+
 def reference_flow(
     mat,
     hamiltonian,
@@ -228,18 +299,23 @@ def reference_flow(
     trajectories=5,
     seed=0,
     scales=(1.0, 0.5, 0.25, 0.125, 0.0625),
+    evaluator=split_evaluator,
 ):
-    """flow_conservation as a plain per-step loop over compiled evaluators.
+    """flow_conservation as a plain per-step loop over the split forms.
 
     The float operations are the ones the generated kernel must reproduce, in
-    the same order.  An evaluation error or an escape ends the attempt.
+    the same order.  The watchers' coefficients are evaluated with the
+    watchers at the start point (a failure ends the attempt at t = 0), the
+    field's next (a failure ends it at t = dt).  An evaluation error, an
+    escape, a non-finite coordinate or a NaN drift ends the attempt.  With
+    evaluator=canonical_evaluator it is the loop over the canonical forms.
     """
     symbols = mat.symbols
     invariants = list(invariants)
-    f_field = compile_exprs(bracket_components(mat, hamiltonian), symbols)
+    field_coefs, field = evaluator(bracket_components(mat, hamiltonian), symbols)
     watchers = invariants + [hamiltonian]
-    f_watch = compile_exprs(watchers, symbols)
-    guarded = [i for i, v in enumerate(symbols.variables) if mat.domain.guarded_positive(v)]
+    watch_coefs, watch = evaluator(watchers, symbols)
+    lower = [1e-6 if mat.domain.guarded_positive(v) else -1e6 for v in symbols.variables]
     rng = random.Random(f"flow:{seed}")
     steps = int(round(t_end / dt))
     drifts = [0.0] * len(watchers)
@@ -251,29 +327,38 @@ def reference_flow(
             x = [scale * rng.uniform(1.0, 2.0) for _ in symbols.variables]
             pvals = [scale * rng.uniform(1.0, 2.0) for _ in symbols.parameters]
             try:
-                base = f_watch(*x, *pvals)
+                wc = watch_coefs(x + pvals)
+                base = watch(x + pvals, wc)
             except fail:
                 aborted.append((traj, 0.0, scale))
+                continue
+            try:
+                fc = field_coefs(x + pvals)
+            except fail:
+                aborted.append((traj, round(dt, 12), scale))
                 continue
             norm = [1.0 + abs(v) for v in base]
             trial = [0.0] * len(watchers)
             survived = True
             for step in range(steps):
                 try:
-                    x = _rk4_step(f_field, x, pvals, dt)
-                    if any(x[g] < 1e-6 for g in guarded) or any(abs(v) > 1e6 for v in x):
+                    x = _rk4_step(lambda y: field(y + pvals, fc), x, dt)
+                    if not all(lo <= v <= 1e6 for lo, v in zip(lower, x)):
                         survived = False
                     else:
-                        now = f_watch(*x, *pvals)
+                        now = watch(x + pvals, wc)
                 except fail:
                     survived = False
+                for i, v in enumerate(now if survived else ()):
+                    d = abs(v - base[i]) / norm[i]
+                    if not d <= trial[i]:
+                        if d != d:
+                            survived = False
+                            break
+                        trial[i] = d
                 if not survived:
                     aborted.append((traj, round((step + 1) * dt, 12), scale))
                     break
-                for i, v in enumerate(now):
-                    d = abs(v - base[i]) / norm[i]
-                    if d > trial[i]:
-                        trial[i] = d
             if survived and trial[-1] > FLOW_DRIFT_TOL and k < len(scales) - 1:
                 aborted.append((traj, round(steps * dt, 12), scale))
                 continue
@@ -293,11 +378,11 @@ def reference_flow(
     )
 
 
-def _rk4_step(f, x, pvals, h):
-    k1 = f(*x, *pvals)
-    k2 = f(*(xi + 0.5 * h * ki for xi, ki in zip(x, k1)), *pvals)
-    k3 = f(*(xi + 0.5 * h * ki for xi, ki in zip(x, k2)), *pvals)
-    k4 = f(*(xi + h * ki for xi, ki in zip(x, k3)), *pvals)
+def _rk4_step(f, x, h):
+    k1 = f(x)
+    k2 = f([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+    k3 = f([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+    k4 = f([xi + h * ki for xi, ki in zip(x, k3)])
     return [
         xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
         for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
@@ -356,6 +441,130 @@ def test_flow_start_point_outside_a_watcher_domain_aborts_at_t0():
     assert flow.completed == 0
     assert [t for _traj, t, _scale in flow.aborted] == [0.0] * 10
     assert flow == reference_flow(*args, trajectories=2)
+
+
+@pytest.mark.parametrize("watched", [[], ["ln(a)*x"]], ids=["field-only", "shared-parameter"])
+def test_flow_undefined_field_coefficient_aborts_at_the_first_step(watched):
+    # x' = ln(a - 3) is undefined for every a in scale * [1, 2].  The kernel
+    # computes that coefficient once per attempt, and its failure still ends
+    # the attempt where the first field evaluation used to, at t = dt
+    sys_ = parse_system("system f\nvars x y\nparams a\nJ[1][2] = ln(a - 3)\nH = y\n")
+    inv = [parse(w, sys_.symbols) for w in watched]
+    args = (sys_.matrix, sys_.hamiltonian, inv)
+    flow = flow_conservation(*args, trajectories=2)
+    assert flow.completed == 0
+    assert [t for _traj, t, _scale in flow.aborted] == [0.001] * 10
+    assert flow == reference_flow(*args, trajectories=2)
+
+
+def test_flow_field_number_past_the_float_range_aborts_at_the_first_step():
+    # x' = 10^400 has no float; the kernel keeps the exact literal, so the
+    # first step overflows and ends the attempt instead of the build raising
+    sys_ = parse_system("system wide\nvars x y z\nJ[1][2] = 10^400\nH = x + y\n")
+    flow = flow_conservation(sys_.matrix, sys_.hamiltonian, [parse("z", sys_.symbols)])
+    assert flow.completed == 0
+    assert {t for _traj, t, _scale in flow.aborted} == {0.001}
+
+
+def test_flow_nan_state_fails_the_check():
+    # x' = 1e300*y overflows in the first stage and the state turns NaN.  NaN
+    # compares False with everything, so it must be rejected explicitly
+    sys_ = parse_system("system huge\nvars x y\nJ[1][2] = 10^300\nH = 1/2*x^2 + 1/2*y^2\n")
+    args = (sys_.matrix, sys_.hamiltonian, [])
+    flow = flow_conservation(*args)
+    assert flow.completed == 0
+    assert {t for _traj, t, _scale in flow.aborted} == {0.001}
+    assert flow == reference_flow(*args)
+
+
+def test_flow_nan_drift_ends_the_attempt():
+    # the state stays finite while the watched 1e308*(q^2 - p^2) overflows
+    # at unit scale: inf - inf is NaN, which compares False with everything,
+    # so the drift check must end the attempt itself
+    sys_ = load_fixture("symplectic2")
+    inv = [parse("10^308*q^2 - 10^308*p^2", sys_.symbols)]
+    args = (sys_.matrix, sys_.hamiltonian, inv)
+    flow = flow_conservation(*args)
+    assert (0, 0.001, 1.0) in flow.aborted
+    assert flow == reference_flow(*args)
+
+
+@pytest.mark.parametrize("name", FLOW_FIXTURES)
+def test_split_kernel_agrees_with_the_canonical_loop(name):
+    # the split form reorders float operations, so drifts move by roundoff,
+    # while every trajectory completes at the same scale
+    sys_ = load_fixture(name)
+    invariants = [e for e, _tag in sys_.expect.casimirs.values()]
+    args = (sys_.matrix, sys_.hamiltonian, invariants)
+    for seed in range(5):
+        got = flow_conservation(*args, seed=seed)
+        want = reference_flow(*args, seed=seed, evaluator=canonical_evaluator)
+        assert got.completed == want.completed, seed
+        retries = Counter(traj for traj, _t, _scale in got.aborted)
+        assert retries == Counter(traj for traj, _t, _scale in want.aborted), seed
+        drifts = got.invariant_drifts + (got.hamiltonian_drift,)
+        for g, w in zip(drifts, want.invariant_drifts + (want.hamiltonian_drift,)):
+            assert abs(g - w) <= 1e-12, (seed, g, w)
+
+
+@pytest.mark.parametrize("name", FLOW_FIXTURES)
+def test_fixture_kernels_do_no_parameter_arithmetic_per_step(name):
+    sys_ = load_fixture(name)
+    symbols = sys_.symbols
+    watchers = [e for e, _tag in sys_.expect.casimirs.values()] + [sys_.hamiltonian]
+    src = _rk4_source(bracket_components(sys_.matrix, sys_.hamiltonian), watchers, symbols, [])
+    loop = src[src.index("for _i in range(_n):") :]
+    params = {f"_s{symbols.n + j}" for j in range(len(symbols.parameters))}
+    assert not params & set(re.findall(r"_s\d+", loop))
+    # no division in the step either: every denominator is parameter-only
+    assert "/" not in loop.replace("_h6", "").replace("/ _m", "")
+
+
+SPLIT_SYSTEMS = {
+    "ln-parameter": "system lnpar\nvars x y z\nparams a b\ndomain x > 0\n"
+    "J[1][2] = ln(a)*x*z/b\nJ[1][3] = ln(a + b)*y\nJ[2][3] = x*ln(x*a)\n"
+    "H = ln(b)*x^2 + y*z\n",
+    "variable-denominator": "system vden\nvars x y z\nparams a\n"
+    "J[1][2] = a*x/(x + a*y)\nJ[1][3] = z/(a*y^2 + 1)\nJ[2][3] = (x + 1)/a\n"
+    "H = x*y/(z + a) + z\n",
+}
+
+
+def _split_cases():
+    cases = []
+    for name in FLOW_FIXTURES:
+        sys_ = load_fixture(name)
+        cases.append((sys_, [e for e, _tag in sys_.expect.casimirs.values()]))
+    for text in SPLIT_SYSTEMS.values():
+        cases.append((parse_system(text), []))
+    return cases
+
+
+SPLIT_CASES = _split_cases()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(len(SPLIT_CASES))), st.integers(0, 2**32))
+def test_split_reassembles_the_canonical_form(case, seed):
+    sys_, invariants = SPLIT_CASES[case]
+    symbols = sys_.symbols
+    h = random_polynomial_hamiltonian(symbols, random.Random(seed))
+    exprs = list(bracket_components(sys_.matrix, h)) + invariants
+    if sys_.hamiltonian is not None:
+        exprs += [sys_.hamiltonian, *bracket_components(sys_.matrix, sys_.hamiltonian)]
+    variables = set(symbols.variables)
+
+    def total(terms):
+        for c, part in terms:
+            assert not free_symbols(c) & variables
+            assert all(isinstance(a, str) or free_symbols(a.arg) & variables for a, _e in part)
+        return sum((c * _from_poly(Poly({part: 1})) for c, part in terms), EXPR_ZERO)
+
+    for e in exprs:
+        num, den = _split(e, variables)
+        assert (total(num) if den is None else total(num) / total(den)) == e
+        # a parameter-only denominator is divided out when the kernel is built
+        assert (den is None) == (not (free_symbols(_from_poly(e.den)) & variables))
 
 
 @pytest.mark.parametrize(
