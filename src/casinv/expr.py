@@ -489,26 +489,69 @@ def evaluate(e: Expr, point) -> float:
     return value(e.num) / den
 
 
-def residue(e: Expr, point: dict, rng: random.Random | None = None) -> int:
+def residue(e: Expr, point: dict, rng: random.Random | None = None, wrt=None):
     """e mod _PRIME at a point of residues; ValueError where e is undefined mod _PRIME.
 
     This is the one evaluator mod the prime.  An ln atom missing from the
     point raises KeyError or, given rng, takes a random residue that the
     point keeps, drawn term by term and numerator first.
-    """
 
-    def value(p: Poly) -> int:
+    Given wrt, a sequence of variable names, it is forward-mode and returns
+    (value, partials): the residues of e and of de/dv for each v in wrt.  The
+    term loop carries the partials by the product rule, the quotient rule
+    joins numerator and denominator, and an ln atom's partials come from the
+    chain rule d ln(u) = du / u, with u and du evaluated the same way (its
+    own ln atoms drawn as above).  No symbolic derivative is formed.
+    """
+    slots = None if wrt is None else {v: s for s, v in enumerate(wrt)}
+    dlogs: dict = {}  # ln atom -> its nonzero partials, (slot, residue) pairs
+
+    def atom(a):
+        if rng is not None and a not in point:
+            point[a] = random_rational(rng, _PRIME)
+        return point[a]
+
+    def partials(a) -> list:
+        if isinstance(a, str):
+            return [(slots[a], 1)] if a in slots else []
+        if a not in dlogs:
+            u, du = residue(a.arg, point, rng, wrt)
+            inv = pow(u, -1, _PRIME)
+            dlogs[a] = [(s, g * inv) for s, g in enumerate(du) if g]
+        return dlogs[a]
+
+    def value(p: Poly):
         total = 0
+        grad = None if slots is None else [0] * len(slots)
         for m, c in p.terms.items():
             t = c.numerator * pow(c.denominator, -1, _PRIME)
-            for a, k in m:
-                if rng is not None and a not in point:
-                    point[a] = random_rational(rng, _PRIME)
-                t *= pow(point[a], k, _PRIME)
+            if grad is None:
+                for a, k in m:
+                    t *= pow(atom(a), k, _PRIME)
+                total += t
+                continue
+            powers = [pow(atom(a), k, _PRIME) for a, k in m]
+            for i, (a, k) in enumerate(m):
+                da = partials(a)
+                if not da:
+                    continue
+                rest = t * k * pow(point[a], k - 1, _PRIME)
+                for j, q in enumerate(powers):
+                    if j != i:
+                        rest = rest * q % _PRIME
+                for s, g in da:
+                    grad[s] += rest * g
+            for q in powers:
+                t *= q
             total += t
-        return total
+        return total, grad
 
-    return value(e.num) * pow(value(e.den), -1, _PRIME) % _PRIME
+    (nv, ng), (dv, dg) = value(e.num), value(e.den)
+    inv = pow(dv, -1, _PRIME)
+    v = nv * inv % _PRIME
+    if slots is None:
+        return v
+    return v, [(a - v * b) * inv % _PRIME for a, b in zip(ng, dg)]
 
 
 # ---------------------------------------------------------------------------
@@ -842,9 +885,22 @@ def format_expr(e: Expr) -> str:
     return _format(e)
 
 
+def _number_source(v) -> str:
+    """A rational as a float literal, or as exact Python when no float holds it.
+
+    Past the float range the exact literal is kept, so the arithmetic that
+    uses it overflows when the code runs, inside a guarded evaluation,
+    rather than while the code is built.
+    """
+    try:
+        return repr(float(v))
+    except OverflowError:
+        return str(v.numerator) if v.denominator == 1 else f"({v.numerator}/{v.denominator})"
+
+
 def python_source(e: Expr, py: dict) -> str:
     """Python source of e's float value, symbols renamed by py; ln is `log`."""
-    return repr(float(e.const_value())) if e.is_constant() else _format(e, py)
+    return _number_source(e.const_value()) if e.is_constant() else _format(e, py)
 
 
 def compile_exprs(exprs, symbols: VariableSet):

@@ -47,6 +47,9 @@ class GammaMatrix:
     dependent_rows: tuple
     forms: tuple  # one n-tuple of Exprs per dependent row
     sampled_columns: tuple  # (dep+1, col+1) pairs certified only numerically
+    # the nonzero components of J * w_i the certificate checked, form by form
+    # in component order; verify.degeneracy_residual samples them
+    products: tuple
 
     def coefficient(self, dep: int, pivot: int) -> Expr:
         return -self.forms[self.dependent_rows.index(dep)][pivot]
@@ -97,11 +100,12 @@ def solve_gamma(
         forms.append(tuple(w))
 
     # certification on all n columns; at rank 0 this checks that J's columns vanish
-    sampled = []
+    sampled, products = [], []
     for i, w in zip(deps, forms):
         for j, jw in enumerate(mat.apply(w)):
             if jw.is_zero():
                 continue
+            products.append(jw)
             residual = -jw
             rng = random.Random(f"gamma-cert:{seed}:{i}:{j}")
             v = zero_verdict(
@@ -115,4 +119,4 @@ def solve_gamma(
                     f"residual {residual} is not zero",
                 )
             sampled.append((i + 1, j + 1))
-    return GammaMatrix(pivots, deps, tuple(forms), tuple(sampled))
+    return GammaMatrix(pivots, deps, tuple(forms), tuple(sampled), tuple(products))

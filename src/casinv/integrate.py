@@ -9,20 +9,30 @@ GammaMatrix.forms.  Its kernel contains the flow for every Hamiltonian, so
 any potential C with dC proportional to w_i is an invariant.  The job here
 is to make some multiple of w_i exact and integrate it:
 
-1. w_i itself is closed (every defect, formed over the active variables
-   only, is canonically zero): integrate directly.
+1. w_i itself is closed: every defect d[a,b] = dc_b/dx_a - dc_a/dx_b,
+   over the active variables only, vanishes.  Integrate directly.
 2. A single integrating factor eta works: eta is a product of integer
    powers of factors read off the coefficients and of the variables.
    Closedness of eta * w_i is linear in the exponents, so they are solved
    for, and the eta found is certified by its potential: integrate_closed
    must reconstruct C with dC = eta * w_i exactly.
-3. No single form can be fixed up (the obstruction w ^ dw != 0): closed
-   combinations sum_i mu_i w_i are sought with each mu_i affine in the
+3. No single form can be fixed up: if eta * w is closed then w ^ dw = 0
+   (Frobenius), so a nonzero w ^ dw rules every eta out.  Closed
+   combinations sum_i mu_i w_i are then sought with each mu_i affine in the
    variables, again by solving the closedness conditions for the unknowns.
 
-Both searches impose their linear conditions at random points modulo the
-prime p = 2^31 - 1 (_sampled_rows; expr.residue values each Expr, and each
-ln atom takes a random residue) and lift the nullspace of those rows to the
+Everything the searches decide is decided from residues modulo the prime
+p = 2^31 - 1 at random points over the symbols the forms involve.
+expr.residue, the one evaluator mod p, gives each coefficient's residue
+together with its partials in the active variables (forward mode: product,
+quotient and chain rules over the terms, each ln atom a random residue), so
+the defects, w ^ dw and the factors' log-derivatives are residues too, and
+no symbolic derivative or gcd enters a search.  find_eta decides steps 1 and
+3 at its first usable point, before it reads any factor off the
+coefficients: all defects 0 there means closed (integrate_closed's exact
+residual check is the proof), and a nonzero component of w ^ dw means no
+eta.  Otherwise both searches impose their linear conditions at enough
+points (_sampled_rows) and lift the nullspace of those rows to the
 rationals with nullspace_fractions, unchecked.  The potential is the
 certificate: an eta counts only once integrate_closed reconstructs C with
 dC = eta * w_i exactly, and a combination only once its potential is
@@ -86,7 +96,6 @@ __all__ = [
     "IntegratingFactor",
     "CasimirResult",
     "IntegrationResult",
-    "exactness_defects",
     "find_eta",
     "antiderivative",
     "integrate_closed",
@@ -141,19 +150,6 @@ def _active(coeffs, names) -> tuple:
     return involved, [a for a, v in enumerate(names) if v in found or not coeffs[a].is_zero()]
 
 
-def exactness_defects(coeffs, symbols: VariableSet) -> dict:
-    """d[a,b] = d(coeffs[b])/dx_a - d(coeffs[a])/dx_b for active a < b; all zero iff closed.
-
-    Pairs with an inactive member are omitted: their defect is identically zero.
-    """
-    names = symbols.variables
-    return {
-        (a, b): differentiate(coeffs[b], names[a], symbols)
-        - differentiate(coeffs[a], names[b], symbols)
-        for a, b in itertools.combinations(_active(coeffs, names)[1], 2)
-    }
-
-
 # -- integrating factor search -------------------------------------------------
 
 
@@ -197,23 +193,47 @@ def _factor_pool(coeffs) -> list:
     return pool
 
 
-def _sampled_rows(rows_at, unknowns, active, symbols, domain, rng):
+def _sample_space(exprs, symbols: VariableSet, variables) -> VariableSet:
+    """The given variables and the parameters the exprs involve, ln arguments included."""
+    found = set().union(*map(free_symbols, exprs))
+    return VariableSet(tuple(variables), tuple(p for p in symbols.parameters if p in found))
+
+
+def _jets(coeffs, wrt, point, rng) -> list:
+    """(value, partials in wrt) mod _PRIME of each coefficient at point (see residue)."""
+    return [residue(c, point, rng, wrt) for c in coeffs]
+
+
+def _defects(jets) -> dict:
+    """d[i, j] = dc_j/dx_i - dc_i/dx_j mod _PRIME for i < j, from the jets of c over wrt."""
+    return {
+        (i, j): (jets[j][1][i] - jets[i][1][j]) % _PRIME
+        for i, j in itertools.combinations(range(len(jets)), 2)
+    }
+
+
+def _sampled_rows(rows_at, unknowns, active, space, domain, rng, batches=()):
     """Rows mod _PRIME of a linear system in `unknowns` columns, imposed at random points.
 
-    rows_at(value) gives the rows at one point, where value(e) is the residue
-    of the Expr e there (see residue).  The points are random_point's draws
-    taken mod _PRIME, and each ln atom takes its own random residue, so it
-    counts as an independent unknown.  A point where a denominator vanishes
-    mod _PRIME is skipped.  One point gives at most active - 1 independent
-    rows, so ceil(unknowns / (active - 1)) + 1 usable points are sampled.
-    Returns the nonzero rows, or None when fewer points are usable.
+    rows_at(point) gives the rows at one point of residues over the symbols
+    of space; batches holds the rows of points already taken, which count as
+    points.  The points are random_point's draws taken mod _PRIME, and each
+    ln atom takes its own random residue, so it counts as an independent
+    unknown.  A point where some residue has a pole mod _PRIME is skipped.
+    ceil(unknowns / (active - 1)) + 1 usable points are taken.  The eta
+    rows, c_b L_a - c_a L_b as rows in L, have rank active - 1 at a point
+    (their kernel is L = c), so for them the count matches what a point can
+    give; the combination rows have more (rank 9 at one point on so(4)* and
+    se(3)*, where active - 1 = 5), so the count is generous there.  Returns
+    the nonzero rows, or None when fewer points are usable.
     """
     need = -(-unknowns // max(active - 1, 1)) + 1
+    batches = list(batches)
 
     def rows_at_point(point):
-        return [r for r in rows_at(lambda e: residue(e, point, rng)) if any(r)]
+        return [r for r in rows_at(point) if any(r)]
 
-    batches = list(sample_points(symbols, domain, rng, need, rows_at_point, _PRIME))
+    batches += sample_points(space, domain, rng, need - len(batches), rows_at_point, _PRIME)
     if len(batches) < need:
         return None
     return [r for rows in batches for r in rows]
@@ -224,53 +244,81 @@ def find_eta(
     symbols: VariableSet,
     domain: Domain | None = None,
     seed: int = 0,
-    defects: dict | None = None,
 ) -> IntegratingFactor | None:
     """Integrating factor for the 1-form with the given coefficients, and its potential.
 
-    Returns eta = 1 with provenance "not-needed" when every defect is
-    canonically zero; a potential outside the supported class then raises
-    NonElementaryError.  Otherwise eta = prod f_k^e_k over factors read off
-    the coefficients and the variables they involve; eta * w is closed iff
+    Everything is decided from residues mod p at random points over the
+    symbols the coefficients involve: each active coefficient c_a comes with
+    its partials (residue's forward mode), so the defects
+    d[a,b] = dc_b/dx_a - dc_a/dx_b are residues too, and no symbolic
+    derivative is formed.  At the first usable point:
+
+    * every defect is 0: the form is closed, and eta = 1 with provenance
+      "not-needed" is returned.  integrate_closed's exact residual check is
+      the proof; a potential outside the supported class, or a form that is
+      not closed after all, raises NonElementaryError.
+    * some (w ^ dw)[a,b,c] = c_a d[b,c] - c_b d[a,c] + c_c d[a,b] is nonzero:
+      no integrating factor exists (Frobenius), so the result is None.
+
+    Otherwise eta = prod f_k^e_k over factors read off the coefficients and
+    the variables they involve; eta * w is closed iff
 
         d[a,b] + sum_k e_k (c_b df_k/dx_a - c_a df_k/dx_b) / f_k = 0
 
     for every pair a < b, which is linear in the exponents.  It is imposed
-    at random points mod p and solved there.  An integer solution is returned
-    only if integrate_closed finds a potential C with dC = eta * w exactly,
-    which certifies it; otherwise the result is None.
+    at that point and at further random points, and solved there.  An
+    integer solution is returned only if integrate_closed finds a potential
+    C with dC = eta * w exactly, which certifies it; otherwise the result is
+    None.
     """
-    if defects is None:
-        defects = exactness_defects(coeffs, symbols)
-    if all(d.is_zero() for d in defects.values()):
-        return IntegratingFactor(EXPR_ONE, "not-needed", integrate_closed(coeffs, symbols))
-
     names = symbols.variables
     involved, active = _active(coeffs, names)
+    if not involved:  # constant coefficients: every defect is zero
+        return IntegratingFactor(EXPR_ONE, "not-needed", integrate_closed(coeffs, symbols))
+    wrt = [names[a] for a in active]
+    live = [coeffs[a] for a in active]
+    space = _sample_space(live, symbols, involved)
+    rng = random.Random(f"eta:{seed}")
+    first = next(
+        sample_points(space, domain, rng, 1, lambda pt: (pt, _jets(live, wrt, pt, rng)), _PRIME),
+        None,
+    )
+    if first is None:
+        return None
+    point, jets = first
+    d = _defects(jets)
+    if not any(d.values()):
+        return IntegratingFactor(EXPR_ONE, "not-needed", integrate_closed(coeffs, symbols))
+    c = [v for v, _ in jets]
+    if any(
+        (c[i] * d[j, k] - c[j] * d[i, k] + c[k] * d[i, j]) % _PRIME
+        for i, j, k in itertools.combinations(range(len(c)), 3)
+    ):
+        return None
+
     pool = _factor_pool(coeffs)
     # parameters and parameter-only factors have zero gradient; variables once
     factors = [
         f for f in dict.fromkeys(pool + [symbol(v) for v in involved]) if free_symbols(f) & set(names)
     ]
-    grads = [
-        [(a, g) for a in active if not (g := differentiate(f, names[a], symbols)).is_zero()]
-        for f in factors
-    ]
 
-    def rows_at(value):
-        c = {a: value(coeffs[a]) for a in active}
+    def rows_at(point, jets=None):
+        jets = jets or _jets(live, wrt, point, rng)
+        c, d = [v for v, _ in jets], _defects(jets)
         logd = []
-        for f, gs in zip(factors, grads):
-            fv = value(f)
-            logd.append({a: value(g) * pow(fv, -1, _PRIME) for a, g in gs})
+        for fv, fg in _jets(factors, wrt, point, rng):
+            inv = pow(fv, -1, _PRIME)
+            logd.append([g * inv % _PRIME for g in fg])
         return [
-            [(c[b] * lg.get(a, 0) - c[a] * lg.get(b, 0)) % _PRIME for lg in logd]
-            + [value(defects[(a, b)])]
-            for a, b in itertools.combinations(active, 2)
+            [(c[b] * lg[a] - c[a] * lg[b]) % _PRIME for lg in logd] + [dab]
+            for (a, b), dab in d.items()
         ]
 
-    rng = random.Random(f"eta:{seed}")
-    rows = _sampled_rows(rows_at, len(factors) + 1, len(active), symbols, domain or Domain(), rng)
+    try:  # the first point counts, unless a factor has a pole there
+        batches = [[r for r in rows_at(point, jets) if any(r)]]
+    except ValueError:
+        batches = []
+    rows = _sampled_rows(rows_at, len(factors) + 1, len(active), space, domain, rng, batches)
     # the basis vector of the free defect column is RREF's particular solution
     sol = next((v for v in nullspace_fractions(rows or []) if v[-1]), None)
     if sol is None or any(e.denominator != 1 for e in sol):
@@ -391,27 +439,38 @@ def normalize_invariant(e: Expr, symbols: VariableSet) -> Expr:
 # -- closed combinations of several forms ----------------------------------------
 
 
-def _combination_solutions(forms, defect_maps, symbols: VariableSet, domain, seed):
+def _combination_solutions(forms, symbols: VariableSet, domain, seed):
     """Closed combinations sum_f mu_f w_f with each mu_f affine in the variables.
 
     Closedness is linear in the mu coefficients; imposed at random points
     mod p it gives a system whose nullspace, lifted, enumerates the
-    solutions.  integrate_all keeps one only if its potential is exact.
+    solutions.  Each form's coefficients and defects are residues, from the
+    jets of its active coefficients (see find_eta).  The points draw every
+    variable, since each mu_f involves them all, and the parameters the
+    forms involve.  integrate_all keeps a solution only if its potential is
+    exact.
     """
     names = symbols.variables
     n = len(names)
     nf = len(forms)
     xs = [symbol(v) for v in names]
+    actives = [_active(form, names)[1] for form in forms]
 
-    def rows_at(value):
-        x = [value(e) for e in xs]
-        w = [[value(c) for c in form] for form in forms]
-        d = [{ab: value(e) for ab, e in dm.items()} for dm in defect_maps]
+    def rows_at(point):
+        x = [point[v] for v in names]
+        w = [[0] * n for _ in forms]
+        d = [{} for _ in forms]
+        for fi, (form, act) in enumerate(zip(forms, actives)):
+            jets = _jets([form[a] for a in act], [names[a] for a in act], point, rng)
+            for a, (v, _) in zip(act, jets):
+                w[fi][a] = v
+            for (i, j), dij in _defects(jets).items():
+                d[fi][act[i], act[j]] = dij
         rows = []
         for a, b in itertools.combinations(range(n), 2):
             row = []
             for fi in range(nf):
-                dab = d[fi].get((a, b), 0)  # an omitted pair's defect is zero
+                dab = d[fi].get((a, b), 0)  # a pair with an inactive member has defect zero
                 # mu_f = alpha + sum_v beta_v x_v: the alpha column, then one per beta_v
                 row.append(dab)
                 for v in range(n):
@@ -421,7 +480,8 @@ def _combination_solutions(forms, defect_maps, symbols: VariableSet, domain, see
         return rows
 
     rng = random.Random(f"combination:{seed}")
-    rows = _sampled_rows(rows_at, nf * (n + 1), n, symbols, domain, rng)
+    space = _sample_space([c for form in forms for c in form], symbols, names)
+    rows = _sampled_rows(rows_at, nf * (n + 1), n, space, domain, rng)
     if rows is None:
         return []
 
@@ -509,9 +569,8 @@ def integrate_all(
 
     notes: list = []
     candidates = []
-    defect_maps = [exactness_defects(form, symbols) for form in forms]
-    for row, form, defects in zip(rows, forms, defect_maps):
-        factor = find_eta(form, symbols, mat.domain, seed=seed, defects=defects)
+    for row, form in zip(rows, forms):
+        factor = find_eta(form, symbols, mat.domain, seed=seed)
         if factor is None:
             notes.append(f"row {row}: no single integrating factor, deferred to combinations")
             continue
@@ -526,7 +585,7 @@ def integrate_all(
         )
 
     if len(candidates) < len(forms):  # some row was deferred
-        solutions = _combination_solutions(forms, defect_maps, symbols, mat.domain, seed)
+        solutions = _combination_solutions(forms, symbols, mat.domain, seed)
         notes.append(f"combination stage: {len(solutions)} closed combination(s)")
         for combined, mults in solutions:
             try:

@@ -33,6 +33,7 @@ from .expr import (
     VariableSet,
     ZeroVerdict,
     differentiate,
+    free_symbols,
     residue,
     sample_points,
     zero_verdict,
@@ -169,9 +170,10 @@ class StructureMatrix:
         The sum for the triple (i, j, k) runs over l:
         J[l][i] dJ[j][k]/dx_l + J[l][j] dJ[k][i]/dx_l + J[l][k] dJ[i][j]/dx_l.
         Only terms with both factors nonzero are formed.  Each nonzero upper
-        entry is differentiated once; its mirror J[b][a] = -J[a][b] takes the
-        negated derivatives.  Only triples with some such term are visited; a
-        triple whose sum is exactly zero is proved and draws no sample point.
+        entry is differentiated once, in the variables it involves only; its
+        mirror J[b][a] = -J[a][b] takes the negated derivatives.  Only
+        triples with some such term are visited; a triple whose sum is
+        exactly zero is proved and draws no sample point.
         """
         n = self.n
         names = self.symbols.variables
@@ -181,9 +183,9 @@ class StructureMatrix:
             if e.is_zero():
                 continue
             d = {}
+            involved = free_symbols(e)
             for l, name in enumerate(names):
-                g = differentiate(e, name, self.symbols)
-                if not g.is_zero():
+                if name in involved and not (g := differentiate(e, name, self.symbols)).is_zero():
                     d[l] = g
             grads[(a, b)] = d
             grads[(b, a)] = {l: -g for l, g in d.items()}

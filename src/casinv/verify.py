@@ -35,6 +35,7 @@ from .expr import (
     Expr,
     VariableSet,
     _from_poly,
+    _number_source,
     _reduce,
     differentiate,
     free_symbols,
@@ -73,7 +74,11 @@ class VerificationError(Exception):
 
 
 def gradient(e: Expr, symbols: VariableSet) -> tuple:
-    return tuple(differentiate(e, v, symbols) for v in symbols.variables)
+    """The partials of e in every variable, differentiating only in those e involves."""
+    involved = free_symbols(e)
+    return tuple(
+        differentiate(e, v, symbols) if v in involved else EXPR_ZERO for v in symbols.variables
+    )
 
 
 def bracket_components(mat: StructureMatrix, e: Expr) -> tuple:
@@ -137,9 +142,11 @@ def degeneracy_residual(
     """Worst |(J w_i)[j]| over the forms w_i of gammas, components j and points.
 
     For a skew mat, -(J w_i)[j] is the relation residual
-    J[i][j] - sum_k gamma[i][k] J[k][j], with the same absolute value.
+    J[i][j] - sum_k gamma[i][k] J[k][j], with the same absolute value.  The
+    nonzero components are the ones solve_gamma formed and certified
+    (gammas.products); they are sampled, not formed again.
     """
-    residuals = [c for w in gammas.forms for c in mat.apply(w) if not c.is_zero()]
+    residuals = gammas.products
     if not residuals:
         return 0.0
     rng = random.Random(f"degeneracy:{seed}")
@@ -426,14 +433,6 @@ def _rk4_source(field, watchers, symbols: VariableSet, guarded) -> str:
         ]
     body += [f"return _n, ({', '.join(f'_t{j}' for j in range(m))},)"]
     return f"def _run({', '.join(xs + ps)}, _h, _n):\n" + "\n".join("    " + line for line in body)
-
-
-def _number_source(v) -> str:
-    """A positive rational as a float literal, or as exact Python when no float holds it."""
-    try:
-        return repr(float(v))
-    except OverflowError:
-        return str(v.numerator) if v.denominator == 1 else f"({v.numerator}/{v.denominator})"
 
 
 def random_polynomial_hamiltonian(

@@ -299,6 +299,18 @@ def test_flow_nan_state_fails_the_check(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_constant_past_the_float_range_is_computation_error(tmp_path, capsys):
+    # the zero test compiles the term 10^400 as an exact literal, so the sum
+    # overflows at every sample point, which is skipped, instead of raising
+    # while the code is built
+    p = tmp_path / "big.psys"
+    p.write_text("system big\nvars x y z\ndomain x > 0\nJ[1][2] = ln(x) + 10^400\n")
+    code, _, err = run(capsys, "all", str(p))
+    assert code == 3
+    assert "computation failed: could not sample points where the matrix is regular" in err
+    assert "Traceback" not in err
+
+
 def test_eta_from_a_split_coefficient_factor(tmp_path, capsys):
     # the Nambu bracket of C = z + ln(z) + ln(y) + 3*ln(x + y): eta is
     # (z + 1)/z, whose factor z + 1 is only a content factor of the

@@ -6,8 +6,10 @@ gradient parallelism where only the level sets are.
 """
 
 import dataclasses
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +35,6 @@ from casinv.integrate import (
     IntegrationError,
     NonElementaryError,
     antiderivative,
-    exactness_defects,
     find_eta,
     integrate_all,
     integrate_closed,
@@ -41,11 +42,13 @@ from casinv.integrate import (
 )
 from casinv.matrix import StructureMatrix
 from casinv.poly import _PRIME
-from casinv.sysfile import load_system
+from casinv.gamma import solve_gamma
+from casinv.sysfile import load_system, parse_system
 from casinv.verify import gradient_rank
 from gradients import gradients_parallel
 
 VS = VariableSet(("x", "y", "z"), ("a",))
+SYSTEMS = Path(__file__).parent / "systems"
 
 
 def E(text: str):
@@ -107,6 +110,21 @@ def test_antiderivative_ln_of_other_variable_is_constant():
 
 
 # -- closed forms and defects -----------------------------------------------------
+
+
+def exactness_defects(coeffs, symbols):
+    """Reference: d[a,b] = d(coeffs[b])/dx_a - d(coeffs[a])/dx_b for active a < b, symbolically.
+
+    Pairs with an inactive member are omitted: their defect is identically
+    zero.  The pipeline forms the defects as residues instead (see
+    test_defect_residues_are_the_residues_of_the_symbolic_defects).
+    """
+    names = symbols.variables
+    return {
+        (a, b): differentiate(coeffs[b], names[a], symbols)
+        - differentiate(coeffs[a], names[b], symbols)
+        for a, b in itertools.combinations(integrate._active(coeffs, names)[1], 2)
+    }
 
 
 def test_exact_form_has_zero_defects():
@@ -430,30 +448,158 @@ def test_residue_is_the_exact_value_mod_p(e, seed, sign):
     assert residue_rng.getstate() == exact_rng.getstate()
 
 
+def _golden_systems():
+    """The bundled systems that pass validation, then the pinned ones of tests/systems."""
+    systems = [load_fixture(name) for name in fixture_names()]
+    systems += [load_system(p) for p in sorted(SYSTEMS.glob("*.psys"))]
+    return [s for s in systems if s.expect.jacobi_ok is not False]
+
+
 def test_sampled_rows_build_no_fraction(monkeypatch):
+    # forms obstructed at their first point no longer sample rows, so the
+    # pinned systems join the fixtures to keep the count meaningful
     built = []
     new = Fraction.__new__
-    sampled_rows = integrate._sampled_rows
 
     def counting(cls, *args, **kwargs):
         built.append(args)
         return new(cls, *args, **kwargs)
 
-    def traced(*args):
-        with monkeypatch.context() as m:
-            m.setattr(Fraction, "__new__", counting)
-            rows = sampled_rows(*args)
-        traced.rows += len(rows or ())
-        return rows
+    def traced(fn):
+        def run(*args):
+            with monkeypatch.context() as m:
+                m.setattr(Fraction, "__new__", counting)
+                out = fn(*args)
+            if fn is sampled_rows:
+                traced.rows += len(out or ())
+            return out
+
+        return run
 
     traced.rows = 0
-    monkeypatch.setattr(integrate, "_sampled_rows", traced)
-    for name in fixture_names():
-        sys_ = load_fixture(name)
-        if sys_.expect.jacobi_ok is not False:
-            integrate_all(sys_.matrix)
+    sampled_rows = integrate._sampled_rows
+    # the jets give the first point's decision and rows, outside _sampled_rows
+    for name in ("_sampled_rows", "_jets", "_defects"):
+        monkeypatch.setattr(integrate, name, traced(getattr(integrate, name)))
+    for sys_ in _golden_systems():
+        integrate_all(sys_.matrix)
     assert traced.rows > 100
     assert built == []
+
+
+# -- forward-mode residues, defects and the Frobenius exit -----------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs, st.integers(0, 2**32), st.sampled_from([None, "+", "-"]))
+def test_forward_mode_partials_are_the_residues_of_the_derivatives(e, seed, sign):
+    dom = Domain({"y": sign} if sign else {})
+    rng = random.Random(seed)
+    point = random_point(VS, dom, rng, _PRIME)
+    try:
+        value, partials = residue(e, point, rng, VS.variables)
+    except ValueError:
+        assume(False)
+    # no rng from here on: every ln atom the derivatives hold is drawn already
+    assert value == residue(e, point)
+    assert partials == [residue(differentiate(e, v, VS), point) for v in VS.variables]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exprs, min_size=3, max_size=3), st.integers(0, 2**32))
+def test_defect_residues_are_the_residues_of_the_symbolic_defects(coeffs, seed):
+    names = VS.variables
+    active = integrate._active(coeffs, names)[1]
+    rng = random.Random(seed)
+    point = random_point(VS, None, rng, _PRIME)
+    try:
+        jets = integrate._jets([coeffs[a] for a in active], [names[a] for a in active], point, rng)
+    except ValueError:
+        assume(False)
+    got = {(active[i], active[j]): d for (i, j), d in integrate._defects(jets).items()}
+    assert got == {ab: residue(d, point) for ab, d in exactness_defects(coeffs, VS).items()}
+
+
+def _wedge_is_zero(coeffs, vs) -> bool:
+    """Reference: every (w ^ dw)[a,b,c] = c_a d[b,c] - c_b d[a,c] + c_c d[a,b] is canonically 0."""
+    d = exactness_defects(coeffs, vs)
+    active = integrate._active(coeffs, vs.variables)[1]
+    return all(
+        (coeffs[a] * d[b, c] - coeffs[b] * d[a, c] + coeffs[c] * d[a, b]).is_zero()
+        for a, b, c in itertools.combinations(active, 3)
+    )
+
+
+def _no_pool(coeffs):
+    raise AssertionError("the factor pool was built")
+
+
+def test_so4_forms_take_the_frobenius_exit(monkeypatch):
+    sys_ = load_system(SYSTEMS / "so4.psys")
+    monkeypatch.setattr(integrate, "_factor_pool", _no_pool)
+    result = integrate_all(sys_.matrix)
+    deferred = [note for note in result.notes if "no single integrating factor" in note]
+    assert deferred == [
+        f"row {r}: no single integrating factor, deferred to combinations" for r in (3, 4)
+    ]
+    assert {c.provenance for c in result.casimirs} == {"form-combination"}
+    assert len(result.casimirs) == 2
+
+
+def _nambu_systems():
+    """The generated Nambu brackets of the benchmark's nambu3 workload, seed 0."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [parse_system(case.text) for case in workloads.nambu3_workload(0)]
+
+
+def test_frobenius_exit_fires_only_where_no_eta_exists(monkeypatch):
+    # where the exit fires, w ^ dw is canonically nonzero, so by Frobenius no
+    # integrating factor exists and the full search could not have found one
+    pools = []
+    pool = integrate._factor_pool
+    monkeypatch.setattr(integrate, "_factor_pool", lambda coeffs: pools.append(1) or pool(coeffs))
+    fired = found = 0
+    for sys_ in _golden_systems() + _nambu_systems():
+        mat = sys_.matrix
+        for form in solve_gamma(mat, mat.decompose()).forms:
+            pools.clear()
+            factor = find_eta(form, sys_.symbols, mat.domain)
+            if factor is None and not pools:
+                fired += 1
+                assert not _wedge_is_zero(form, sys_.symbols), sys_.name
+            elif factor is not None:
+                found += 1
+                assert pools or factor.provenance == "not-needed", sys_.name
+                assert _wedge_is_zero(form, sys_.symbols), sys_.name
+    assert fired >= 5 and found >= 100
+
+
+def test_searches_form_no_symbolic_derivative(monkeypatch):
+    # the closedness searches take defects and log-derivatives from residues;
+    # only integrate_closed, the certificate, differentiates symbolically
+    certifying = []
+    closed, differentiate_ = integrate.integrate_closed, integrate.differentiate
+
+    def certify(*args):
+        certifying.append(1)
+        try:
+            return closed(*args)
+        finally:
+            certifying.pop()
+
+    def guarded(*args):
+        assert certifying, "a symbolic derivative outside integrate_closed"
+        return differentiate_(*args)
+
+    monkeypatch.setattr(integrate, "integrate_closed", certify)
+    monkeypatch.setattr(integrate, "differentiate", guarded)
+    proved = sum(len(integrate_all(s.matrix).casimirs) for s in _golden_systems())
+    assert proved >= 20
+    assert not hasattr(integrate, "exactness_defects")
 
 
 # -- independence ------------------------------------------------------------------
@@ -532,12 +678,8 @@ def test_multiplier_without_a_residue_is_decided_without_a_vote(monkeypatch, fac
 
 
 def test_golden_systems_never_vote(monkeypatch):
-    systems = [load_fixture(name) for name in fixture_names()]
-    systems += [load_system(p) for p in sorted((Path(__file__).parent / "systems").glob("*.psys"))]
     proved = 0
-    for sys_ in systems:
-        if sys_.expect.jacobi_ok is False:
-            continue
+    for sys_ in _golden_systems():
         with monkeypatch.context() as m:
             _forbid_votes(m)
             result = integrate_all(sys_.matrix)
