@@ -251,7 +251,7 @@ def find_eta(
     symbols the coefficients involve: each active coefficient c_a comes with
     its partials (residue's forward mode), so the defects
     d[a,b] = dc_b/dx_a - dc_a/dx_b are residues too, and no symbolic
-    derivative is formed.  At the first usable point:
+    derivative is formed.  At the first usable point (None if there is none):
 
     * every defect is 0: the form is closed, and eta = 1 with provenance
       "not-needed" is returned.  integrate_closed's exact residual check is
