@@ -400,68 +400,80 @@ def tolerance(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="casinv",
-        description="Invariants of finite-dimensional Poisson systems from their structure matrix.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, sampled=True):
-        sp.add_argument("system", help="path to a system file, or a bundled system name")
-        sp.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
-        if sampled:
-            sp.add_argument(
-                "--samples", type=sample_count, default=20, help="points per numeric check (default 20)"
-            )
-            sp.add_argument(
-                "--tol", type=tolerance, default=1e-9, help="numeric zero tolerance (default 1e-9)"
-            )
-        sp.add_argument("--json", action="store_true", help="emit a JSON report")
-
-    sp = sub.add_parser("systems", help="list the bundled example systems")
+def _json_flag(sp):
     sp.add_argument("--json", action="store_true", help="emit a JSON report")
-    sp.set_defaults(func=cmd_systems)
 
-    sp = sub.add_parser("validate", help="check skew symmetry and the Jacobi identity")
-    common(sp)
-    sp.set_defaults(func=cmd_validate)
 
+def _common(sp, sampled=True):
+    sp.add_argument("system", help="path to a system file, or a bundled system name")
+    sp.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
+    if sampled:
+        sp.add_argument(
+            "--samples", type=sample_count, default=20, help="points per numeric check (default 20)"
+        )
+        sp.add_argument(
+            "--tol", type=tolerance, default=1e-9, help="numeric zero tolerance (default 1e-9)"
+        )
+    _json_flag(sp)
+
+
+def _unsampled(sp):
     # the rank is decided modulo a prime: no sampled check, so no --samples or --tol
-    sp = sub.add_parser("rank", help="rank and pivot decomposition")
-    common(sp, sampled=False)
-    sp.set_defaults(func=cmd_rank)
+    _common(sp, sampled=False)
 
-    sp = sub.add_parser("gamma", help="degeneracy relation coefficients")
-    common(sp)
-    sp.set_defaults(func=cmd_gamma)
 
-    sp = sub.add_parser("casimirs", help="integrate the invariants")
-    common(sp)
-    sp.set_defaults(func=cmd_casimirs)
+def _pipeline(sp):
+    _common(sp)
+    sp.add_argument("--flow", action="store_true", help="also check drift along the flow")
 
-    for name, text in (
-        ("verify", "recheck the computed invariants"),
-        ("all", "full pipeline plus the cost comparison"),
-    ):
-        sp = sub.add_parser(name, help=text)
-        common(sp)
-        sp.add_argument("--flow", action="store_true", help="also check drift along the flow")
-        sp.set_defaults(func=cmd_pipeline)
 
-    sp = sub.add_parser("cost", help="equation counts for a system or a (dim, rank) pair")
+def _cost(sp):
     sp.add_argument("system", nargs="?", default=None, help="optional system file or bundled name")
     sp.add_argument("--dim", type=int, default=None, help="dimension n")
     sp.add_argument("--rank", type=int, default=None, help="rank 2m")
     sp.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
-    sp.add_argument("--json", action="store_true", help="emit a JSON report")
-    sp.set_defaults(func=cmd_cost)
+    _json_flag(sp)
 
+
+# name -> (help, handler, adds the command's arguments), in the order help lists them
+COMMANDS = {
+    "systems": ("list the bundled example systems", cmd_systems, _json_flag),
+    "validate": ("check skew symmetry and the Jacobi identity", cmd_validate, _common),
+    "rank": ("rank and pivot decomposition", cmd_rank, _unsampled),
+    "gamma": ("degeneracy relation coefficients", cmd_gamma, _common),
+    "casimirs": ("integrate the invariants", cmd_casimirs, _common),
+    "verify": ("recheck the computed invariants", cmd_pipeline, _pipeline),
+    "all": ("full pipeline plus the cost comparison", cmd_pipeline, _pipeline),
+    "cost": ("equation counts for a system or a (dim, rank) pair", cmd_cost, _cost),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every command's subparser, or only `command`'s.
+
+    Each add_argument call costs a help formatter, so a run builds only the
+    subparser it invokes.  The one-command tree keeps the full tree's usage
+    line (its metavar lists every command), so its help texts and usage
+    errors are the full tree's, byte for byte.
+    """
+    parser = argparse.ArgumentParser(
+        prog="casinv",
+        description="Invariants of finite-dimensional Poisson systems from their structure matrix.",
+    )
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        text, handler, add_arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        add_arguments(sp)
+        sp.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, SystemFileError) as e:

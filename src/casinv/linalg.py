@@ -1,11 +1,17 @@
 """Exact linear algebra over Expr entries, and nullspaces modulo a prime.
 
 Everything here is small and dense: pivot blocks of structure matrices and
-coefficient systems extracted from closedness conditions.  One Gauss-Jordan
-reduction with exact arithmetic serves the determinant and the solve; the
-Expr type keeps quotients gcd-reduced at every step, which is what stops
-intermediate expression swell.  The sampled closedness systems are reduced
-modulo a prime and their nullspace is lifted to the rationals by rational
+coefficient systems extracted from closedness conditions.  A pivot block is
+a principal block of a skew matrix, so it is skew, and its determinant and
+solve split over the connected components of its nonzero pattern.  A
+component's determinant is its Pfaffian squared, and its solve goes through
+the Pfaffians of its minors (the adjugate).  Both come from one zero-skipping
+row expansion with no division, so for polynomial entries no gcd runs until
+the one division by the Pfaffian.  Non-skew input, and a skew matrix with a
+component above _PFAFFIAN_MAX, where the expansion costs more than
+elimination, take one Gauss-Jordan reduction, whose Expr entries stay
+gcd-reduced at every step.  The sampled closedness systems are reduced modulo
+a prime and their nullspace is lifted to the rationals by rational
 reconstruction, unchecked: what the callers build from it is certified
 exactly downstream.
 """
@@ -20,6 +26,11 @@ from .poly import _PRIME
 
 # Wang's bound: a fraction n/d with |n|, d <= _HALF is determined by n/d mod _PRIME
 _HALF = math.isqrt(_PRIME // 2)
+
+# Skew matrices whose components all have at most this many rows take the
+# Pfaffian route, others elimination: on dense blocks with entries c*x_i*x_j
+# the expansion's det + solve is faster up to 14 rows and slower from 16.
+_PFAFFIAN_MAX = 14
 
 __all__ = ["det_exact", "solve_exact", "nullspace_fractions", "SingularMatrixError"]
 
@@ -63,11 +74,16 @@ def _rref(m: list, width: int, is_zero) -> tuple:
 
 def det_exact(rows: list) -> Expr:
     """Determinant of a square Expr matrix."""
-    n = len(rows)
-    pivots, det = _rref([list(r) for r in rows], n, Expr.is_zero)
-    if len(pivots) < n:
-        return EXPR_ZERO
-    return det if n else EXPR_ONE
+    comps = _pfaffian_components(rows)
+    if comps is None:
+        return _det_rref(rows)
+    det = EXPR_ONE
+    for c in comps:
+        pf = EXPR_ZERO if len(c) % 2 else _pfaffian(rows, tuple(c), {})
+        if pf.is_zero():
+            return EXPR_ZERO
+        det = det * (pf * pf)
+    return det
 
 
 def solve_exact(a: list, b: list) -> list:
@@ -77,6 +93,12 @@ def solve_exact(a: list, b: list) -> list:
     result is the list of solution columns.  Raises SingularMatrixError when
     A is symbolically singular.
     """
+    comps = _pfaffian_components(a)
+    if comps is not None:
+        x = _solve_skew(a, b, comps)
+        if x is not None:
+            return x
+    # elimination, also for a singular skew matrix: it names the first column without a pivot
     n = len(a)
     m = [list(a[i]) + [col[i] for col in b] for i in range(n)]
     pivots, _ = _rref(m, n, Expr.is_zero)
@@ -84,6 +106,127 @@ def solve_exact(a: list, b: list) -> list:
         missing = next(c for c in range(n) if c not in pivots)
         raise SingularMatrixError(f"no pivot in column {missing}")
     return [[m[i][n + j] for i in range(n)] for j in range(len(b))]
+
+
+def _det_rref(rows: list) -> Expr:
+    n = len(rows)
+    pivots, det = _rref([list(r) for r in rows], n, Expr.is_zero)
+    if len(pivots) < n:
+        return EXPR_ZERO
+    return det if n else EXPR_ONE
+
+
+def _pfaffian_components(a: list):
+    """The connected components of a's nonzero pattern, for the Pfaffian route.
+
+    Each component is an ascending list of indices, and the components are
+    ordered by their least index.  A skew matrix is block diagonal over its
+    components after a symmetric permutation, which leaves the determinant
+    unchanged and splits a solve into one solve per component.  Returns None,
+    for elimination, when a is not skew or a component exceeds _PFAFFIAN_MAX.
+    """
+    n = len(a)
+    nbrs = [[] for _ in range(n)]
+    for i in range(n):
+        if not a[i][i].is_zero():
+            return None
+        for j in range(i + 1, n):
+            e = a[i][j]
+            if e.is_zero():
+                if not a[j][i].is_zero():
+                    return None
+            elif a[j][i] != -e:
+                return None
+            else:
+                nbrs[i].append(j)
+                nbrs[j].append(i)
+    comps = []
+    seen = [False] * n
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, todo = [s], [s]
+        while todo:
+            for j in nbrs[todo.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+                    todo.append(j)
+        if len(comp) > _PFAFFIAN_MAX:
+            return None
+        comps.append(sorted(comp))
+    return comps
+
+
+def _pfaffian(a: list, idx: tuple, memo: dict) -> Expr:
+    """Pf of the principal block of the skew matrix a on the ascending indices idx.
+
+    Expands along the block's first row, Pf = sum_k (-1)^k a[i][j_k] Pf(idx
+    without i, j_k) over the other indices j_k (k from 0), skipping zero
+    entries and zero minors; each minor's Pfaffian is memoised on its index
+    tuple, so the minors a caller asks for share their subexpansions.
+    """
+    if not idx:
+        return EXPR_ONE
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    row, rest = a[idx[0]], idx[1:]
+    pf = EXPR_ZERO
+    for k, j in enumerate(rest):
+        if row[j].is_zero():
+            continue
+        sub = _pfaffian(a, rest[:k] + rest[k + 1 :], memo)
+        if not sub.is_zero():
+            t = row[j] * sub
+            pf = pf - t if k % 2 else pf + t
+    memo[idx] = pf
+    return pf
+
+
+def _pfaffian_adjugate(a: list, idx: tuple) -> tuple:
+    """Pf and the skew matrix N of the block of a on idx with A N = -Pf I.
+
+    N[k][l] = (-1)^(k+l+1) Pf(idx without its k-th and l-th index) for k < l
+    (0-based positions in idx), and N[l][k] = -N[k][l].
+    """
+    m, memo = len(idx), {}
+    pf = _pfaffian(a, idx, memo)
+    adj = [[EXPR_ZERO] * m for _ in range(m)]
+    for k in range(m):
+        for l in range(k + 1, m):
+            minor = _pfaffian(a, idx[:k] + idx[k + 1 : l] + idx[l + 1 :], memo)
+            if not minor.is_zero():
+                adj[k][l] = minor if (k + l) % 2 else -minor
+                adj[l][k] = -adj[k][l]
+    return pf, adj
+
+
+def _solve_skew(a: list, b: list, comps: list):
+    """Solve A X = B for skew A one component at a time, or None if A is singular.
+
+    A N = -Pf I and N is skew, so A^-1 = N^T / Pf on each component: no
+    elimination, and the one division is by Pf.
+    """
+    cols = [[EXPR_ZERO] * len(a) for _ in b]
+    for c in comps:
+        if len(c) % 2:
+            return None
+        pf, adj = _pfaffian_adjugate(a, tuple(c))
+        if pf.is_zero():
+            return None
+        inv = EXPR_ONE / pf
+        for out, col in zip(cols, b):
+            rhs = [(adj[l], col[i]) for l, i in enumerate(c) if not col[i].is_zero()]
+            for k, i in enumerate(c):
+                acc = EXPR_ZERO
+                for row, v in rhs:
+                    if not row[k].is_zero():
+                        acc = acc + row[k] * v
+                if not acc.is_zero():
+                    out[i] = acc * inv
+    return cols
 
 
 def nullspace_fractions(rows: list) -> list:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 
@@ -275,17 +274,9 @@ class StructureMatrix:
         )
         pairs = _grow([list(row) for row in s], order)
 
-        def key(subset):
-            pick = operator.itemgetter(*subset)
-            return (
-                sum([sum(pick(nnz[p])) for p in subset]),
-                sum([sum(pick(monos[p])) for p in subset]),
-                subset,
-            )
-
         for r in range(2 * len(pairs), 0, -2):
             if math.comb(n, r) <= CANDIDATE_BUDGET:
-                candidates = sorted(itertools.combinations(range(n), r), key=key)
+                candidates = _ranked_blocks(nnz, monos, r)
             else:
                 candidates = [tuple(sorted(itertools.chain(*pairs[: r // 2])))]
             for subset in candidates:
@@ -300,6 +291,33 @@ class StructureMatrix:
                 if not v.samples:
                     raise StructureError("could not sample points where the matrix is regular")
         return PivotDecomposition(0, (), tuple(range(n)), (), EXPR_ONE)
+
+
+def _ranked_blocks(nnz: list, monos: list, r: int) -> list:
+    """The size-r row subsets, by their principal block's nonzero and monomial counts, then subset.
+
+    Both counts travel in one int, nonzeros * base + monomials, with the base
+    above any block's monomial count.  A block's sum is taken from the n - r
+    rows it leaves out: the whole matrix's, minus the left-out rows' and
+    columns', plus the left-out x left-out entries', so each subset costs
+    O((n - r)^2), not O(r^2).
+    """
+    n = len(nnz)
+    base = sum(map(sum, monos)) + 1
+    w = [[a * base + b for a, b in zip(ra, rb)] for ra, rb in zip(nnz, monos)]
+    cross = [sum(row) + sum(col) for row, col in zip(w, zip(*w))]
+    total = sum(map(sum, w))
+    ranked = []
+    for out in itertools.combinations(range(n), n - r):
+        skip = set(out)
+        ranked.append(
+            (
+                total - sum([cross[i] for i in out]) + sum([w[i][j] for i in out for j in out]),
+                tuple([i for i in range(n) if i not in skip]),
+            )
+        )
+    ranked.sort()
+    return [subset for _, subset in ranked]
 
 
 def _grow(s: list, order) -> list:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from casinv import matrix
+from casinv import cli, matrix
 from casinv.cli import main
 
 
@@ -23,6 +23,36 @@ def test_systems_lists_bundled(capsys):
     assert code == 0
     names = out.split()
     assert "so3" in names and "light-top" in names
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_prints_the_full_tree_texts(command):
+    # main builds only the subparser it invokes; help and usage must not notice
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert list(_subparsers(one)) == [command]
+    assert _subparsers(one)[command].format_help() == _subparsers(full)[command].format_help()
+    assert one.format_usage() == full.format_usage()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "so3", "--bogus"], ["cost", "--dim", "x"], ["all"], ["rank", "so3", "--tol", "1"]],
+)
+def test_usage_errors_match_the_full_tree(argv, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as one:
+        main(argv)
+    one_err = capsys.readouterr().err
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    with pytest.raises(SystemExit) as full:
+        main(argv)
+    assert one.value.code == full.value.code == 2
+    assert one_err == capsys.readouterr().err
 
 
 def test_validate_ok(capsys):

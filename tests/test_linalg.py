@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -331,3 +332,109 @@ def test_pipeline_systems_lift_every_vector(monkeypatch):
             integrate_all(sys_.matrix)
     assert len(reductions) >= 10
     assert dropped == []
+
+
+# -- the Pfaffian route for skew matrices against elimination --------------------------
+
+
+def _rref_solve(a, b):
+    """solve_exact by Gauss-Jordan over the whole matrix: the reference."""
+    n = len(a)
+    m = [list(a[i]) + [col[i] for col in b] for i in range(n)]
+    pivots, _ = linalg._rref(m, n, lambda e: e.is_zero())
+    assert len(pivots) == n
+    return [[m[i][n + j] for i in range(n)] for j in range(len(b))]
+
+
+# two symbols and low degrees: Gauss-Jordan over Expr, the reference here, can
+# take minutes on a dense 4x4 block whose entries involve more symbols
+_POLYS = ["x", "y", "x*y", "x - y", "y + 1", "x^2 + 1", "2", "-1"]
+_DENS = ["x", "y + 1"]
+
+
+@st.composite
+def _skew(draw, rational: bool):
+    """A skew Expr matrix, with rational-function entries if `rational`.
+
+    Its indices are shuffled and split into blocks of at most 4, and only
+    entries inside a block can be nonzero: block diagonal up to a
+    permutation, each block dense or sparse.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), max_size=3))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    ends = list(itertools.accumulate(sizes))
+    block_of = {i: k for k, end in enumerate(ends) for i in order[end - sizes[k] : end]}
+    sparsity = draw(st.sampled_from([0.0, 0.0, 0.4]))
+    m = [[EXPR_ZERO] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if block_of[i] != block_of[j] or draw(st.floats(0, 1)) < sparsity:
+            continue
+        e = E(draw(st.sampled_from(_POLYS))) * draw(st.sampled_from([1, 2, -3]))
+        if rational and draw(st.booleans()):
+            e = e / E(draw(st.sampled_from(_DENS)))
+        m[i][j], m[j][i] = e, -e
+    return m
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.booleans().flatmap(_skew), st.sampled_from([0, 2, 4, linalg._PFAFFIAN_MAX]))
+def test_skew_det_matches_elimination_and_pfaffian_squared(m, switch):
+    # a switch below a component's size sends that component to elimination
+    with mock.patch.object(linalg, "_PFAFFIAN_MAX", switch):
+        det = det_exact(m)
+    assert det == linalg._det_rref(m)
+    pf = linalg._pfaffian(m, tuple(range(len(m))), {})
+    assert det == pf * pf
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.booleans().flatmap(_skew))
+def test_pfaffian_adjugate_times_the_matrix_is_minus_pf(m):
+    n = len(m)
+    pf, adj = linalg._pfaffian_adjugate(m, tuple(range(n)))
+    for k in range(n):
+        assert all((adj[k][l] + adj[l][k]).is_zero() for l in range(n))
+        for l in range(n):
+            acc = EXPR_ZERO
+            for t in range(n):
+                acc = acc + m[k][t] * adj[t][l]
+            assert acc == (-pf if k == l else EXPR_ZERO)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.booleans().flatmap(_skew), st.sampled_from([0, 2, 4, linalg._PFAFFIAN_MAX]), st.data())
+def test_skew_solve_matches_elimination(m, switch, data):
+    n = len(m)
+    b = [[E(data.draw(st.sampled_from(_POLYS + ["0"]))) for _ in range(n)] for _ in range(2)]
+    with mock.patch.object(linalg, "_PFAFFIAN_MAX", switch):
+        if linalg._det_rref(m).is_zero():
+            with pytest.raises(SingularMatrixError):
+                solve_exact(m, b)
+            return
+        assert solve_exact(m, b) == _rref_solve(m, b)
+
+
+def test_pfaffian_components_split_block_diagonal_patterns():
+    x, y = E("x"), E("y")
+    m = [
+        [EXPR_ZERO, EXPR_ZERO, x, EXPR_ZERO],
+        [EXPR_ZERO, EXPR_ZERO, EXPR_ZERO, y],
+        [-x, EXPR_ZERO, EXPR_ZERO, EXPR_ZERO],
+        [EXPR_ZERO, -y, EXPR_ZERO, EXPR_ZERO],
+    ]
+    assert linalg._pfaffian_components(m) == [[0, 2], [1, 3]]
+    assert det_exact(m) == E("x^2*y^2")
+    # a component above the switch sends the whole matrix to elimination
+    with mock.patch.object(linalg, "_PFAFFIAN_MAX", 1):
+        assert linalg._pfaffian_components(m) is None
+    # so does a matrix that is not skew
+    m[2][0] = x
+    assert linalg._pfaffian_components(m) is None
+
+
+def test_singular_skew_solve_names_the_column_elimination_finds():
+    # the 3x3 skew block is singular, so its Pfaffian route gives up
+    m = [[EXPR_ZERO, E("x"), E("y")], [E("-x"), EXPR_ZERO, E("z")], [E("-y"), E("-z"), EXPR_ZERO]]
+    with pytest.raises(SingularMatrixError, match="no pivot in column 2"):
+        solve_exact(m, [[E("1"), E("0"), E("0")]])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -319,6 +320,51 @@ def test_greedy_fallback_agrees_with_enumeration(monkeypatch):
     greedy = sys_.matrix.decompose()
     assert greedy.rank == full.rank
     assert set(greedy.dependent_rows) == set(full.dependent_rows)
+
+
+def ranked_by_block_sums(nnz, monos, r) -> list:
+    """Reference: sort every size-r subset by its block's nonzero and monomial sums, then itself."""
+
+    def key(subset):
+        pick = operator.itemgetter(*subset)
+        return (
+            sum([sum(pick(nnz[p])) for p in subset]),
+            sum([sum(pick(monos[p])) for p in subset]),
+            subset,
+        )
+
+    return sorted(itertools.combinations(range(len(nnz)), r), key=key)
+
+
+@st.composite
+def count_patterns(draw):
+    """Nonzero and monomial counts of a skew matrix's entries, or of any matrix's."""
+    n = draw(st.integers(2, 9))
+    nnz = [[0] * n for _ in range(n)]
+    monos = [[0] * n for _ in range(n)]
+    skew = draw(st.booleans())
+    for i, j in itertools.product(range(n), repeat=2):
+        if (skew and i >= j) or (not skew and i == j):
+            continue
+        nnz[i][j] = draw(st.integers(0, 1))
+        monos[i][j] = nnz[i][j] * draw(st.integers(1, 12))
+        if skew:
+            nnz[j][i], monos[j][i] = nnz[i][j], monos[i][j]
+    return nnz, monos, 2 * draw(st.integers(1, n // 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_patterns())
+def test_complement_ranking_matches_the_block_sums(pattern):
+    nnz, monos, r = pattern
+    assert matrix._ranked_blocks(nnz, monos, r) == ranked_by_block_sums(nnz, monos, r)
+
+
+def test_complement_ranking_on_so3_sums():
+    mat = so3_sum(4)
+    nnz = [[int(not e.is_zero()) for e in row] for row in mat.rows]
+    monos = [[0 if e.is_zero() else e.monomial_count() for e in row] for row in mat.rows]
+    assert matrix._ranked_blocks(nnz, monos, 8) == ranked_by_block_sums(nnz, monos, 8)
 
 
 def unscreened_greedy_pivot(m, order) -> list:
