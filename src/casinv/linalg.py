@@ -7,10 +7,10 @@ solve split over the connected components of its nonzero pattern.  A
 component's determinant is its Pfaffian squared, and its solve goes through
 the Pfaffians of its minors (the adjugate).  Both come from one zero-skipping
 row expansion with no division, so for polynomial entries no gcd runs until
-the one division by the Pfaffian.  Non-skew input, and a skew matrix with a
-component above _PFAFFIAN_MAX, where the expansion costs more than
-elimination, take one Gauss-Jordan reduction, whose Expr entries stay
-gcd-reduced at every step.  The sampled closedness systems are reduced modulo
+the one division by the Pfaffian.  A singular skew matrix is reported from a
+zero Pfaffian.  Non-skew input, and each skew component above _PFAFFIAN_MAX,
+where the expansion costs more than elimination, take one Gauss-Jordan
+reduction, whose Expr entries stay gcd-reduced at every step.  The sampled closedness systems are reduced modulo
 a prime and their nullspace is lifted to the rationals by rational
 reconstruction, unchecked: what the callers build from it is certified
 exactly downstream.
@@ -27,9 +27,9 @@ from .poly import _PRIME
 # Wang's bound: a fraction n/d with |n|, d <= _HALF is determined by n/d mod _PRIME
 _HALF = math.isqrt(_PRIME // 2)
 
-# Skew matrices whose components all have at most this many rows take the
-# Pfaffian route, others elimination: on dense blocks with entries c*x_i*x_j
-# the expansion's det + solve is faster up to 14 rows and slower from 16.
+# A skew component with at most this many rows takes the Pfaffian route, a
+# larger one elimination: on dense blocks with entries c*x_i*x_j the
+# expansion's det + solve is faster up to 14 rows and slower from 16.
 _PFAFFIAN_MAX = 14
 
 __all__ = ["det_exact", "solve_exact", "nullspace_fractions", "SingularMatrixError"]
@@ -74,15 +74,19 @@ def _rref(m: list, width: int, is_zero) -> tuple:
 
 def det_exact(rows: list) -> Expr:
     """Determinant of a square Expr matrix."""
-    comps = _pfaffian_components(rows)
+    comps = _skew_components(rows)
     if comps is None:
         return _det_rref(rows)
     det = EXPR_ONE
     for c in comps:
-        pf = EXPR_ZERO if len(c) % 2 else _pfaffian(rows, tuple(c), {})
-        if pf.is_zero():
+        if len(c) > _PFAFFIAN_MAX:
+            d = _det_rref(_block(rows, c))
+        else:
+            pf = EXPR_ZERO if len(c) % 2 else _pfaffian(rows, tuple(c), {})
+            d = pf * pf
+        if d.is_zero():
             return EXPR_ZERO
-        det = det * (pf * pf)
+        det = det * d
     return det
 
 
@@ -93,19 +97,23 @@ def solve_exact(a: list, b: list) -> list:
     result is the list of solution columns.  Raises SingularMatrixError when
     A is symbolically singular.
     """
-    comps = _pfaffian_components(a)
-    if comps is not None:
-        x = _solve_skew(a, b, comps)
-        if x is not None:
-            return x
-    # elimination, also for a singular skew matrix: it names the first column without a pivot
-    n = len(a)
-    m = [list(a[i]) + [col[i] for col in b] for i in range(n)]
-    pivots, _ = _rref(m, n, Expr.is_zero)
-    if len(pivots) < n:
-        missing = next(c for c in range(n) if c not in pivots)
-        raise SingularMatrixError(f"no pivot in column {missing}")
-    return [[m[i][n + j] for i in range(n)] for j in range(len(b))]
+    comps = _skew_components(a)
+    if comps is None:
+        return _solve_rref(a, b, range(len(a)))
+    cols = [[EXPR_ZERO] * len(a) for _ in b]
+    for c in comps:
+        if len(c) <= _PFAFFIAN_MAX:
+            _solve_pfaffian(a, b, c, cols)
+            continue
+        xs = _solve_rref(_block(a, c), [[col[i] for i in c] for col in b], c)
+        for out, x in zip(cols, xs):
+            for i, v in zip(c, x):
+                out[i] = v
+    return cols
+
+
+def _block(a: list, idx: list) -> list:
+    return [[a[i][j] for j in idx] for i in idx]
 
 
 def _det_rref(rows: list) -> Expr:
@@ -116,14 +124,24 @@ def _det_rref(rows: list) -> Expr:
     return det if n else EXPR_ONE
 
 
-def _pfaffian_components(a: list):
-    """The connected components of a's nonzero pattern, for the Pfaffian route.
+def _solve_rref(a: list, b: list, labels) -> list:
+    """Solve A X = B by elimination; a missing pivot is named by its entry in labels."""
+    n = len(a)
+    m = [list(a[i]) + [col[i] for col in b] for i in range(n)]
+    pivots, _ = _rref(m, n, Expr.is_zero)
+    if len(pivots) < n:
+        missing = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrixError(f"no pivot in column {labels[missing]}")
+    return [[m[i][n + j] for i in range(n)] for j in range(len(b))]
+
+
+def _skew_components(a: list):
+    """The connected components of a skew matrix's nonzero pattern, or None if a is not skew.
 
     Each component is an ascending list of indices, and the components are
     ordered by their least index.  A skew matrix is block diagonal over its
     components after a symmetric permutation, which leaves the determinant
-    unchanged and splits a solve into one solve per component.  Returns None,
-    for elimination, when a is not skew or a component exceeds _PFAFFIAN_MAX.
+    unchanged and splits a solve into one solve per component.
     """
     n = len(a)
     nbrs = [[] for _ in range(n)]
@@ -153,8 +171,6 @@ def _pfaffian_components(a: list):
                     seen[j] = True
                     comp.append(j)
                     todo.append(j)
-        if len(comp) > _PFAFFIAN_MAX:
-            return None
         comps.append(sorted(comp))
     return comps
 
@@ -185,14 +201,13 @@ def _pfaffian(a: list, idx: tuple, memo: dict) -> Expr:
     return pf
 
 
-def _pfaffian_adjugate(a: list, idx: tuple) -> tuple:
-    """Pf and the skew matrix N of the block of a on idx with A N = -Pf I.
+def _adjugate(a: list, idx: tuple, memo: dict) -> list:
+    """The skew matrix N of the block of a on idx with A N = -Pf I.
 
     N[k][l] = (-1)^(k+l+1) Pf(idx without its k-th and l-th index) for k < l
     (0-based positions in idx), and N[l][k] = -N[k][l].
     """
-    m, memo = len(idx), {}
-    pf = _pfaffian(a, idx, memo)
+    m = len(idx)
     adj = [[EXPR_ZERO] * m for _ in range(m)]
     for k in range(m):
         for l in range(k + 1, m):
@@ -200,33 +215,30 @@ def _pfaffian_adjugate(a: list, idx: tuple) -> tuple:
             if not minor.is_zero():
                 adj[k][l] = minor if (k + l) % 2 else -minor
                 adj[l][k] = -adj[k][l]
-    return pf, adj
+    return adj
 
 
-def _solve_skew(a: list, b: list, comps: list):
-    """Solve A X = B for skew A one component at a time, or None if A is singular.
+def _solve_pfaffian(a: list, b: list, c: list, cols: list) -> None:
+    """Solve the component c of the skew system A X = B into c's slots of cols.
 
-    A N = -Pf I and N is skew, so A^-1 = N^T / Pf on each component: no
+    A N = -Pf I and N is skew, so A^-1 = N^T / Pf on the component: no
     elimination, and the one division is by Pf.
     """
-    cols = [[EXPR_ZERO] * len(a) for _ in b]
-    for c in comps:
-        if len(c) % 2:
-            return None
-        pf, adj = _pfaffian_adjugate(a, tuple(c))
-        if pf.is_zero():
-            return None
-        inv = EXPR_ONE / pf
-        for out, col in zip(cols, b):
-            rhs = [(adj[l], col[i]) for l, i in enumerate(c) if not col[i].is_zero()]
-            for k, i in enumerate(c):
-                acc = EXPR_ZERO
-                for row, v in rhs:
-                    if not row[k].is_zero():
-                        acc = acc + row[k] * v
-                if not acc.is_zero():
-                    out[i] = acc * inv
-    return cols
+    idx, memo = tuple(c), {}
+    pf = EXPR_ZERO if len(c) % 2 else _pfaffian(a, idx, memo)
+    if pf.is_zero():
+        raise SingularMatrixError(f"zero Pfaffian on the component with rows {c}")
+    adj = _adjugate(a, idx, memo)
+    inv = EXPR_ONE / pf
+    for out, col in zip(cols, b):
+        rhs = [(adj[l], col[i]) for l, i in enumerate(c) if not col[i].is_zero()]
+        for k, i in enumerate(c):
+            acc = EXPR_ZERO
+            for row, v in rhs:
+                if not row[k].is_zero():
+                    acc = acc + row[k] * v
+            if not acc.is_zero():
+                out[i] = acc * inv
 
 
 def nullspace_fractions(rows: list) -> list:

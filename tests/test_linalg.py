@@ -392,7 +392,9 @@ def test_skew_det_matches_elimination_and_pfaffian_squared(m, switch):
 @given(st.booleans().flatmap(_skew))
 def test_pfaffian_adjugate_times_the_matrix_is_minus_pf(m):
     n = len(m)
-    pf, adj = linalg._pfaffian_adjugate(m, tuple(range(n)))
+    idx, memo = tuple(range(n)), {}
+    pf = linalg._pfaffian(m, idx, memo)
+    adj = linalg._adjugate(m, idx, memo)
     for k in range(n):
         assert all((adj[k][l] + adj[l][k]).is_zero() for l in range(n))
         for l in range(n):
@@ -415,7 +417,7 @@ def test_skew_solve_matches_elimination(m, switch, data):
         assert solve_exact(m, b) == _rref_solve(m, b)
 
 
-def test_pfaffian_components_split_block_diagonal_patterns():
+def test_skew_components_split_block_diagonal_patterns():
     x, y = E("x"), E("y")
     m = [
         [EXPR_ZERO, EXPR_ZERO, x, EXPR_ZERO],
@@ -423,18 +425,61 @@ def test_pfaffian_components_split_block_diagonal_patterns():
         [-x, EXPR_ZERO, EXPR_ZERO, EXPR_ZERO],
         [EXPR_ZERO, -y, EXPR_ZERO, EXPR_ZERO],
     ]
-    assert linalg._pfaffian_components(m) == [[0, 2], [1, 3]]
+    assert linalg._skew_components(m) == [[0, 2], [1, 3]]
     assert det_exact(m) == E("x^2*y^2")
-    # a component above the switch sends the whole matrix to elimination
-    with mock.patch.object(linalg, "_PFAFFIAN_MAX", 1):
-        assert linalg._pfaffian_components(m) is None
-    # so does a matrix that is not skew
+    # a matrix that is not skew has no components for the Pfaffian route
     m[2][0] = x
-    assert linalg._pfaffian_components(m) is None
+    assert linalg._skew_components(m) is None
 
 
-def test_singular_skew_solve_names_the_column_elimination_finds():
-    # the 3x3 skew block is singular, so its Pfaffian route gives up
-    m = [[EXPR_ZERO, E("x"), E("y")], [E("-x"), EXPR_ZERO, E("z")], [E("-y"), E("-z"), EXPR_ZERO]]
-    with pytest.raises(SingularMatrixError, match="no pivot in column 2"):
-        solve_exact(m, [[E("1"), E("0"), E("0")]])
+def test_switch_sends_only_the_large_components_to_elimination():
+    x, y = E("x"), E("y")
+    z = EXPR_ZERO
+    # components [0, 1, 2, 3] (4 rows) and [4, 5] (2 rows)
+    m = [
+        [z, x, z, y, z, z],
+        [-x, z, y, z, z, z],
+        [z, -y, z, x, z, z],
+        [-y, z, -x, z, z, z],
+        [z, z, z, z, z, x * y],
+        [z, z, z, z, -x * y, z],
+    ]
+    b = [[E("1"), z, z, E("x"), E("y"), E("1")]]
+    reference = _rref_solve(m, b)
+    calls = []
+    rref = linalg._rref
+
+    def spy(a, width, is_zero):
+        calls.append(width)
+        return rref(a, width, is_zero)
+
+    with mock.patch.object(linalg, "_PFAFFIAN_MAX", 2), mock.patch.object(linalg, "_rref", spy):
+        assert det_exact(m) == linalg._det_rref(m)
+        calls.clear()
+        assert solve_exact(m, b) == reference
+    assert calls == [4]
+
+
+def _skew_from_upper(n, upper):
+    m = [[EXPR_ZERO] * n for _ in range(n)]
+    for (i, j), e in upper.items():
+        m[i][j], m[j][i] = E(e), -E(e)
+    return m
+
+
+@pytest.mark.parametrize("switch", [0, linalg._PFAFFIAN_MAX])
+@pytest.mark.parametrize(
+    "m",
+    [
+        # an odd component [0, 1, 2] next to a regular one [3, 4]
+        _skew_from_upper(5, {(0, 1): "x", (0, 2): "y", (1, 2): "x*y", (3, 4): "x"}),
+        # one even component whose Pfaffian x*y - x*y cancels
+        _skew_from_upper(4, {(0, 1): "x", (2, 3): "y", (0, 2): "x", (1, 3): "y"}),
+    ],
+)
+def test_singular_skew_solve_raises(m, switch):
+    b = [[E("1")] + [EXPR_ZERO] * (len(m) - 1)]
+    with mock.patch.object(linalg, "_PFAFFIAN_MAX", switch):
+        assert det_exact(m).is_zero()
+        with pytest.raises(SingularMatrixError):
+            solve_exact(m, b)
