@@ -46,7 +46,7 @@ EXIT_COMPUTATION = 3
 
 def stage_seed(seed: int, stage: str) -> int:
     """Per-stage seed derived from the user seed; stable across runs."""
-    return zlib.crc32(stage.encode()) ^ (seed & 0xFFFFFFFF)
+    return zlib.crc32(stage.encode()) ^ seed
 
 
 class UsageError(Exception):
@@ -389,6 +389,17 @@ def sample_count(text: str) -> int:
     return value
 
 
+def seed_value(text: str) -> int:
+    """--seed: an integer 0 <= seed < 2^32; stage seeds mix in 32 bits, so others would alias."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**32:
+        raise argparse.ArgumentTypeError(f"expected an integer 0 <= seed < 2^32, got {text!r}")
+    return value
+
+
 def tolerance(text: str) -> float:
     """--tol: a finite number > 0; under nan or inf every sampled value passes as zero."""
     try:
@@ -406,7 +417,9 @@ def _json_flag(sp):
 
 def _common(sp, sampled=True):
     sp.add_argument("system", help="path to a system file, or a bundled system name")
-    sp.add_argument("--seed", type=int, default=0, help="base random seed (default 0)")
+    sp.add_argument(
+        "--seed", type=seed_value, default=0, help="base random seed, 0 <= seed < 2^32 (default 0)"
+    )
     if sampled:
         sp.add_argument(
             "--samples", type=sample_count, default=20, help="points per numeric check (default 20)"
@@ -431,7 +444,7 @@ def _cost(sp):
     sp.add_argument("system", nargs="?", default=None, help="optional system file or bundled name")
     sp.add_argument("--dim", type=int, default=None, help="dimension n")
     sp.add_argument("--rank", type=int, default=None, help="rank 2m")
-    sp.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
+    sp.add_argument("--seed", type=seed_value, default=0, help=argparse.SUPPRESS)
     _json_flag(sp)
 
 

@@ -248,7 +248,7 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(-self.num, self.den)
+        return self if self.num.is_zero() else Expr(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_as_expr(other))
@@ -511,9 +511,7 @@ def residue(e: Expr, point: dict, rng: random.Random | None = None, wrt=None):
             point[a] = random_rational(rng, _PRIME)
         return point[a]
 
-    def partials(a) -> list:
-        if isinstance(a, str):
-            return [(slots[a], 1)] if a in slots else []
+    def dlog(a) -> list:
         if a not in dlogs:
             u, du = residue(a.arg, point, rng, wrt)
             inv = pow(u, -1, _PRIME)
@@ -524,29 +522,39 @@ def residue(e: Expr, point: dict, rng: random.Random | None = None, wrt=None):
         total = 0
         grad = None if slots is None else [0] * len(slots)
         for m, c in p.terms.items():
-            t = c.numerator * pow(c.denominator, -1, _PRIME)
+            t = c if type(c) is int else c.numerator * pow(c.denominator, -1, _PRIME)
             if grad is None:
                 for a, k in m:
-                    t *= pow(atom(a), k, _PRIME)
+                    t *= atom(a) if k == 1 else pow(atom(a), k, _PRIME)
                 total += t
                 continue
-            powers = [pow(atom(a), k, _PRIME) for a, k in m]
+            powers = [atom(a) if k == 1 else pow(atom(a), k, _PRIME) for a, k in m]
             for i, (a, k) in enumerate(m):
-                da = partials(a)
-                if not da:
+                if isinstance(a, str):  # a symbol's partial is its unit slot
+                    if (slot := slots.get(a)) is None:
+                        continue
+                    da = None
+                elif not (da := dlog(a)):
                     continue
-                rest = t * k * pow(point[a], k - 1, _PRIME)
+                rest = t if k == 1 else t * k * pow(point[a], k - 1, _PRIME)
                 for j, q in enumerate(powers):
                     if j != i:
                         rest = rest * q % _PRIME
-                for s, g in da:
-                    grad[s] += rest * g
+                if da is None:
+                    grad[slot] += rest
+                else:
+                    for s, g in da:
+                        grad[s] += rest * g
             for q in powers:
                 t *= q
             total += t
         return total, grad
 
-    (nv, ng), (dv, dg) = value(e.num), value(e.den)
+    nv, ng = value(e.num)
+    if e.den.is_one():  # a canonical constant denominator is exactly 1
+        v = nv % _PRIME
+        return v if slots is None else (v, [g % _PRIME for g in ng])
+    dv, dg = value(e.den)
     inv = pow(dv, -1, _PRIME)
     v = nv * inv % _PRIME
     if slots is None:

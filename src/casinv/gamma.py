@@ -96,7 +96,8 @@ def solve_gamma(
         w = [EXPR_ZERO] * mat.n
         w[i] = EXPR_ONE
         for k, g in zip(pivots, sol):
-            w[k] = -g
+            if not g.is_zero():
+                w[k] = -g
         forms.append(tuple(w))
 
     # certification on all n columns; at rank 0 this checks that J's columns vanish

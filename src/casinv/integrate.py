@@ -145,9 +145,10 @@ def _active(coeffs, names) -> tuple:
     x_a is active when its coefficient is nonzero or some coefficient involves
     it; a defect with an inactive member is identically zero.
     """
-    found = set().union(*map(free_symbols, coeffs))
+    live = {a for a, c in enumerate(coeffs) if not c.is_zero()}
+    found = set().union(*(free_symbols(coeffs[a]) for a in live))
     involved = [v for v in names if v in found]
-    return involved, [a for a, v in enumerate(names) if v in found or not coeffs[a].is_zero()]
+    return involved, [a for a, v in enumerate(names) if v in found or a in live]
 
 
 # -- integrating factor search -------------------------------------------------
@@ -298,8 +299,10 @@ def find_eta(
 
     pool = _factor_pool(coeffs)
     # parameters and parameter-only factors have zero gradient; variables once
+    variables = set(names)
     factors = [
-        f for f in dict.fromkeys(pool + [symbol(v) for v in involved]) if free_symbols(f) & set(names)
+        f for f in dict.fromkeys(pool + [symbol(v) for v in involved])
+        if free_symbols(f) & variables
     ]
 
     def rows_at(point, jets=None):
@@ -328,7 +331,7 @@ def find_eta(
     for f, e in used:
         eta = eta * f**e
     try:
-        potential = integrate_closed([eta * c for c in coeffs], symbols)
+        potential = integrate_closed([c if c.is_zero() else eta * c for c in coeffs], symbols)
     except NonElementaryError:
         return None
     from_pool = len(used) <= 2 and all(f in pool for f, _ in used)

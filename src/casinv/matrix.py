@@ -96,7 +96,13 @@ class PivotDecomposition:
 
 
 class StructureMatrix:
-    """Skew matrix of bracket coefficients over a variable set."""
+    """Skew matrix of bracket coefficients over a variable set.
+
+    `rows` is the dense n x n tuple of tuples.  J's nonzero pattern is taken
+    once, here: for each row and for each column, the (index, entry) pairs
+    whose entry is nonzero, indices ascending.  The structural passes (skew
+    check, Jacobi, decompose, apply) walk that pattern, not the n^2 slots.
+    """
 
     def __init__(self, symbols: VariableSet, rows, domain: Domain | None = None, name: str = ""):
         n = symbols.n
@@ -107,6 +113,14 @@ class StructureMatrix:
         self.rows = rows
         self.domain = domain or Domain()
         self.name = name
+        self._row_nz = tuple(
+            tuple((j, e) for j, e in enumerate(r) if not e.is_zero()) for r in rows
+        )
+        cols = [[] for _ in range(n)]
+        for i, r in enumerate(self._row_nz):
+            for j, e in r:
+                cols[j].append((i, e))
+        self._col_nz = tuple(map(tuple, cols))
 
     @classmethod
     def from_upper(
@@ -136,31 +150,37 @@ class StructureMatrix:
     def apply(self, vec) -> tuple:
         """J * vec, each component summed in column order.
 
-        Only products of two nonzero factors are formed.  This is the one
-        matrix-vector product: J * grad(C) for the bracket components, and
-        J * w_i for the degeneracy relations, whose forms w_i are kernel
-        vectors of J.
+        Only products of two nonzero factors are formed: the vector's nonzero
+        slots are walked in order, each against its column of J's pattern.
+        This is the one matrix-vector product: J * grad(C) for the bracket
+        components, and J * w_i for the degeneracy relations, whose forms w_i
+        are kernel vectors of J.
         """
-        live = [(j, v) for j, v in enumerate(vec) if not v.is_zero()]
-        out = []
-        for row in self.rows:
-            acc = EXPR_ZERO
-            for j, v in live:
-                if not row[j].is_zero():
-                    acc = acc + row[j] * v
-            out.append(acc)
+        out = [EXPR_ZERO] * self.n
+        for j, v in enumerate(vec):
+            if v.is_zero():
+                continue
+            for i, e in self._col_nz[j]:
+                out[i] = out[i] + e * v
         return tuple(out)
 
     # -- structural checks -----------------------------------------------------
 
+    def _skew_pairs(self) -> list:
+        """The pairs (i, j), i <= j, where J[i][j] or J[j][i] is nonzero, ascending."""
+        return sorted({(min(i, j), max(i, j)) for i, r in enumerate(self._row_nz) for j, _ in r})
+
     def check_skew(self) -> list:
-        """Violations of J[i][j] = -J[j][i] (empty list means skew)."""
+        """Violations of J[i][j] = -J[j][i] (empty list means skew), by (i, j).
+
+        Only the pairs where J[i][j] or J[j][i] is nonzero can break it.
+        """
+        rows = self.rows
         out = []
-        for i in range(self.n):
-            for j in range(i, self.n):
-                r = self.rows[i][j] + self.rows[j][i] if i != j else self.rows[i][i]
-                if not r.is_zero():
-                    out.append(SkewViolation(i + 1, j + 1, r))
+        for i, j in self._skew_pairs():
+            r = rows[i][j] + rows[j][i] if i != j else rows[i][i]
+            if not r.is_zero():
+                out.append(SkewViolation(i + 1, j + 1, r))
         return out
 
     def jacobi_report(self, samples: int = 20, tol: float = 1e-9, seed: int = 0) -> JacobiReport:
@@ -171,34 +191,33 @@ class StructureMatrix:
         Only terms with both factors nonzero are formed.  Each nonzero upper
         entry is differentiated once, in the variables it involves only; its
         mirror J[b][a] = -J[a][b] takes the negated derivatives.  Only
-        triples with some such term are visited; a triple whose sum is
-        exactly zero is proved and draws no sample point.
+        triples with some such term are visited: for each nonzero
+        dJ[a][b]/dx_l, the columns c of row l's pattern.  A triple whose sum
+        is exactly zero is proved and draws no sample point.
         """
         n = self.n
-        names = self.symbols.variables
+        index = {v: l for l, v in enumerate(self.symbols.variables)}
         grads = {}  # (a, b) -> {l: dJ[a][b]/dx_l}, nonzero derivatives only
-        for a, b in itertools.combinations(range(n), 2):
-            e = self.rows[a][b]
-            if e.is_zero():
-                continue
-            d = {}
-            involved = free_symbols(e)
-            for l, name in enumerate(names):
-                if name in involved and not (g := differentiate(e, name, self.symbols)).is_zero():
-                    d[l] = g
-            grads[(a, b)] = d
-            grads[(b, a)] = {l: -g for l, g in d.items()}
-        cols = [
-            {l: self.rows[l][c] for l in range(n) if not self.rows[l][c].is_zero()}
-            for c in range(n)
-        ]
+        for a, r in enumerate(self._row_nz):
+            for b, e in r:
+                if b <= a:
+                    continue
+                d = {}
+                involved = sorted((index[v], v) for v in free_symbols(e) if v in index)
+                for l, name in involved:
+                    if not (g := differentiate(e, name, self.symbols)).is_zero():
+                        d[l] = g
+                grads[(a, b)] = d
+                grads[(b, a)] = {l: -g for l, g in d.items()}
+        cols = [dict(c) for c in self._col_nz]
         # a triple has a term only if, for one of its pairs (a, b) and its third
         # index c, some l has dJ[a][b]/dx_l != 0 and J[l][c] != 0
         live = {
             tuple(sorted((a, b, c)))
             for (a, b), d in grads.items()
-            for c, col in enumerate(cols)
-            if c not in (a, b) and not col.keys().isdisjoint(d)
+            for l in d
+            for c, _ in self._row_nz[l]
+            if c != a and c != b
         }
 
         failures = []
@@ -255,10 +274,15 @@ class StructureMatrix:
         point of the domain can evaluate raises.
         """
         n = self.n
+        skew_pairs = self._skew_pairs()
 
         def residues(point):
-            s = [[0 if e.is_zero() else residue(e, point, rng) for e in row] for row in self.rows]
-            if any((s[i][j] + s[j][i]) % _PRIME for i in range(n) for j in range(i, n)):
+            # row-major: residue draws each ln atom's value the first time it meets it
+            s = [[0] * n for _ in range(n)]
+            for si, r in zip(s, self._row_nz):
+                for j, e in r:
+                    si[j] = residue(e, point, rng)
+            if any((s[i][j] + s[j][i]) % _PRIME for i, j in skew_pairs):
                 raise StructureError("the matrix is not skew-symmetric at a sample point")
             return s
 
@@ -266,9 +290,12 @@ class StructureMatrix:
         s = next(sample_points(self.symbols, self.domain, rng, 1, residues, _PRIME), None)
         if s is None:
             raise StructureError("could not sample points where the matrix is regular")
-        nnz = [[int(not e.is_zero()) for e in row] for row in self.rows]
-        monos = [[0 if e.is_zero() else e.monomial_count() for e in row] for row in self.rows]
-        row_nnz = [sum(row) for row in nnz]
+        nnz = [[0] * n for _ in range(n)]
+        monos = [[0] * n for _ in range(n)]
+        for i, r in enumerate(self._row_nz):
+            for j, e in r:
+                nnz[i][j], monos[i][j] = 1, e.monomial_count()
+        row_nnz = [len(r) for r in self._row_nz]
         order = sorted(
             itertools.combinations(range(n), 2), key=lambda p: (row_nnz[p[0]] + row_nnz[p[1]], p)
         )

@@ -5,7 +5,8 @@ puts `src/` on the path itself).  It renders every report in-process, plain
 and with `--json`, and hashes each call's argv, exit code, stdout and stderr.
 Two trees that print the same count and digest printed the same bytes, so a
 change meant to keep every report byte-identical is checked by running this
-at both commits.
+at both commits.  The line for the current reports is pinned in
+`tests/golden/report-digest.txt`, and CI diffs this script's output against it.
 
 The set:
 

@@ -213,6 +213,34 @@ def test_every_subcommand_rejects_vacuous_budgets(capsys, argv):
     assert (f"unrecognized arguments: {argv[-2]}" if unknown else argv[-2]) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*command, "--seed", seed]
+        for command in (
+            ["all", "lv3-j1", "--flow"],
+            ["rank", "so3"],
+            ["cost", "--dim", "3", "--rank", "2"],
+        )
+        for seed in ("-1", "4294967296", "x")
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_seed_is_usage_error(capsys, argv):
+    # stage seeds mix in 32 bits: -1 would print what 2^32 - 1 prints, and 2^32 what 0 prints
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "0 <= seed < 2^32" in err and repr(argv[-1]) in err
+
+
+@pytest.mark.parametrize("seed", ["0", "4294967295"])
+def test_seed_range_ends_are_accepted(capsys, seed):
+    code, out, _ = run(capsys, "rank", "so3", "--seed", seed)
+    assert code == 0 and out
+
+
 def test_json_report_is_valid(capsys):
     code, out, _ = run(capsys, "all", "lv3-j1", "--json")
     assert code == 0

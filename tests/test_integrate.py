@@ -28,6 +28,7 @@ from casinv.expr import (
     number,
     parse,
     random_point,
+    random_rational,
     residue,
 )
 from casinv.fixtures import fixture_names, load_fixture
@@ -503,6 +504,86 @@ def test_forward_mode_partials_are_the_residues_of_the_derivatives(e, seed, sign
     # no rng from here on: every ln atom the derivatives hold is drawn already
     assert value == residue(e, point)
     assert partials == [residue(differentiate(e, v, VS), point) for v in VS.variables]
+
+
+def reference_residue(e, point: dict, rng=None, wrt=None):
+    """Reference: expr.residue without its fast paths (every coefficient inverts its
+    denominator, every power goes through pow, and the quotient rule always runs)."""
+    slots = None if wrt is None else {v: s for s, v in enumerate(wrt)}
+    dlogs: dict = {}
+
+    def atom(a):
+        if rng is not None and a not in point:
+            point[a] = random_rational(rng, _PRIME)
+        return point[a]
+
+    def partials(a) -> list:
+        if isinstance(a, str):
+            return [(slots[a], 1)] if a in slots else []
+        if a not in dlogs:
+            u, du = reference_residue(a.arg, point, rng, wrt)
+            inv = pow(u, -1, _PRIME)
+            dlogs[a] = [(s, g * inv) for s, g in enumerate(du) if g]
+        return dlogs[a]
+
+    def value(p):
+        total = 0
+        grad = None if slots is None else [0] * len(slots)
+        for m, c in p.terms.items():
+            t = c.numerator * pow(c.denominator, -1, _PRIME)
+            if grad is None:
+                for a, k in m:
+                    t *= pow(atom(a), k, _PRIME)
+                total += t
+                continue
+            powers = [pow(atom(a), k, _PRIME) for a, k in m]
+            for i, (a, k) in enumerate(m):
+                da = partials(a)
+                if not da:
+                    continue
+                rest = t * k * pow(point[a], k - 1, _PRIME)
+                for j, q in enumerate(powers):
+                    if j != i:
+                        rest = rest * q % _PRIME
+                for s, g in da:
+                    grad[s] += rest * g
+            for q in powers:
+                t *= q
+            total += t
+        return total, grad
+
+    (nv, ng), (dv, dg) = value(e.num), value(e.den)
+    inv = pow(dv, -1, _PRIME)
+    v = nv * inv % _PRIME
+    if slots is None:
+        return v
+    return v, [(a - v * b) * inv % _PRIME for a, b in zip(ng, dg)]
+
+
+def _residue_or_error(fn, e, point, rng, wrt):
+    try:
+        return fn(e, point, rng, wrt)
+    except ValueError as err:
+        return type(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _exprs,
+    st.integers(0, 2**32),
+    st.sampled_from([None, "+", "-"]),
+    st.sampled_from([None, ("x", "y", "z"), ("z", "x"), ("y",)]),
+)
+def test_residue_fast_paths_match_the_reference(e, seed, sign, wrt):
+    dom = Domain({"y": sign} if sign else {})
+    rng, replay = random.Random(seed), random.Random(seed)
+    point = random_point(VS, dom, rng, _PRIME)
+    replay_point = random_point(VS, dom, replay, _PRIME)
+    got = _residue_or_error(residue, e, point, rng, wrt)
+    assert got == _residue_or_error(reference_residue, e, replay_point, replay, wrt)
+    # the same ln atoms took the same draws, in the same order
+    assert point == replay_point and list(point) == list(replay_point)
+    assert rng.getstate() == replay.getstate()
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,7 @@ import math
 import operator
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,3 +456,211 @@ def test_numeric_evaluation_is_skew():
     a = np.array(v).reshape(mat.n, mat.n)
     assert abs(a + a.T).max() < 1e-12
     assert abs(a).max() > 0
+
+
+# -- the nonzero-pattern walk against the dense n^2 loops ----------------------------
+
+
+def dense_check_skew(mat) -> list:
+    """Reference: check_skew over every slot of the upper triangle."""
+    out = []
+    for i in range(mat.n):
+        for j in range(i, mat.n):
+            r = mat.rows[i][j] + mat.rows[j][i] if i != j else mat.rows[i][i]
+            if not r.is_zero():
+                out.append(matrix.SkewViolation(i + 1, j + 1, r))
+    return out
+
+
+def dense_live_triples(mat) -> tuple:
+    """Reference: the upper entries' nonzero derivatives, and the triples that some
+    derivative meets in a dense column of J."""
+    n, names = mat.n, mat.symbols.variables
+    grads = {}
+    for a, b in itertools.combinations(range(n), 2):
+        e = mat.rows[a][b]
+        if e.is_zero():
+            continue
+        d = {}
+        for l, name in enumerate(names):
+            if not (g := differentiate(e, name, mat.symbols)).is_zero():
+                d[l] = g
+        grads[(a, b)] = d
+        grads[(b, a)] = {l: -g for l, g in d.items()}
+    cols = [{l: mat.rows[l][c] for l in range(n) if not mat.rows[l][c].is_zero()} for c in range(n)]
+    live = {
+        tuple(sorted((a, b, c)))
+        for (a, b), d in grads.items()
+        for c, col in enumerate(cols)
+        if c not in (a, b) and not col.keys().isdisjoint(d)
+    }
+    return grads, cols, live
+
+
+def dense_scan_jacobi_report(mat, samples=20, tol=1e-9, seed=0):
+    """Reference: jacobi_report's sums over the live triples of the dense scan."""
+    grads, cols, live = dense_live_triples(mat)
+    failures, sampled = [], []
+    for i, j, k in sorted(live):
+        terms = []
+        for pos, (c, pair) in enumerate(((i, (j, k)), (j, (k, i)), (k, (i, j)))):
+            terms += [(l, pos, cols[c][l], g) for l, g in grads.get(pair, {}).items() if l in cols[c]]
+        terms.sort(key=lambda t: t[:2])
+        s = EXPR_ZERO
+        for _, _, e, g in terms:
+            s = s + e * g
+        if s.is_zero():
+            continue
+        rng = random.Random(f"jacobi:{seed}:{i}:{j}:{k}")
+        v = zero_verdict(s, mat.symbols, mat.domain, samples=samples, tol=tol, rng=rng)
+        if v.is_nonzero:
+            failures.append(JacobiFailure((i + 1, j + 1, k + 1), v))
+        elif v.status == "probably-zero":
+            sampled.append((i + 1, j + 1, k + 1))
+    return JacobiReport(not failures, math.comb(mat.n, 3), tuple(failures), tuple(sampled))
+
+
+def dense_decompose(mat, seed=0):
+    """Reference: decompose with its residue and count tables taken over all n^2 slots."""
+    n = mat.n
+
+    def residues(point):
+        s = [[0 if e.is_zero() else matrix.residue(e, point, rng) for e in row] for row in mat.rows]
+        if any((s[i][j] + s[j][i]) % _PRIME for i in range(n) for j in range(i, n)):
+            raise StructureError("the matrix is not skew-symmetric at a sample point")
+        return s
+
+    rng = random.Random(f"structure-sample:{seed}")
+    s = next(sample_points(mat.symbols, mat.domain, rng, 1, residues, _PRIME), None)
+    if s is None:
+        raise StructureError("could not sample points where the matrix is regular")
+    nnz = [[int(not e.is_zero()) for e in row] for row in mat.rows]
+    monos = [[0 if e.is_zero() else e.monomial_count() for e in row] for row in mat.rows]
+    row_nnz = [sum(row) for row in nnz]
+    order = sorted(
+        itertools.combinations(range(n), 2), key=lambda p: (row_nnz[p[0]] + row_nnz[p[1]], p)
+    )
+    pairs = matrix._grow([list(row) for row in s], order)
+    for r in range(2 * len(pairs), 0, -2):
+        if math.comb(n, r) <= matrix.CANDIDATE_BUDGET:
+            candidates = matrix._ranked_blocks(nnz, monos, r)
+        else:
+            candidates = [tuple(sorted(itertools.chain(*pairs[: r // 2])))]
+        for subset in candidates:
+            if len(_rref_mod_p([[s[p][q] for q in subset] for p in subset], r)) < r:
+                continue
+            sym = tuple(tuple(mat.rows[p][q] for q in subset) for p in subset)
+            det = matrix.det_exact(sym)
+            v = zero_verdict(det, mat.symbols, mat.domain, rng=random.Random(f"pivot:{seed}"))
+            if v.is_nonzero:
+                dep = tuple(i for i in range(n) if i not in subset)
+                return matrix.PivotDecomposition(r, subset, dep, sym, det)
+            if not v.samples:
+                raise StructureError("could not sample points where the matrix is regular")
+    return matrix.PivotDecomposition(0, (), tuple(range(n)), (), EXPR_ONE)
+
+
+def dense_apply(mat, vec) -> tuple:
+    """Reference: J * vec row by row, each row scanned over the vector's nonzero slots."""
+    live = [(j, v) for j, v in enumerate(vec) if not v.is_zero()]
+    out = []
+    for row in mat.rows:
+        acc = EXPR_ZERO
+        for j, v in live:
+            if not row[j].is_zero():
+                acc = acc + row[j] * v
+        out.append(acc)
+    return tuple(out)
+
+
+def few_symbol_entries(names):
+    """Text of one or two monomials in at most three of the names, sometimes times an ln."""
+    factor = st.tuples(st.sampled_from(names), st.integers(1, 2))
+    monomial = st.tuples(st.sampled_from([-2, -1, 1, 3]), st.lists(factor, max_size=2))
+    ln = st.sampled_from(["", "", "", f"*ln({names[0]})", f"*ln({names[-1]} + 1)"])
+    return st.tuples(st.lists(monomial, min_size=1, max_size=2), ln).map(
+        lambda t: "(" + " + ".join(
+            f"({c})" + "".join(f"*{v}^{e}" for v, e in fs) for c, fs in t[0]
+        ) + ")" + t[1]
+    )
+
+
+@st.composite
+def permuted_block_matrices(draw):
+    """Skew matrices block-diagonal under a random permutation, plus a few random entries;
+    each entry is polynomial in at most three variables.  Some are built from dense rows
+    and carry a pair that is not skew or a nonzero diagonal entry."""
+    n = draw(st.integers(3, 8))
+    vs = VariableSet(tuple(f"x{t + 1}" for t in range(n)), ())
+    perm = draw(st.permutations(range(n)))
+    sizes, left = [], n
+    while left:
+        sizes.append(draw(st.integers(1, min(left, 4))))
+        left -= sizes[-1]
+    pairs, start = [], 0
+    for size in sizes:
+        pairs += itertools.combinations(perm[start : start + size], 2)
+        start += size
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    upper = {}
+    for i, j in pairs:
+        if i == j or not draw(st.integers(0, 3)):
+            continue
+        names = draw(st.lists(st.sampled_from(vs.variables), min_size=1, max_size=3, unique=True))
+        e = parse(draw(few_symbol_entries(names)), vs)
+        upper[(min(i, j) + 1, max(i, j) + 1)] = e if i < j else -e
+    mat = StructureMatrix.from_upper(vs, upper)
+    flaw = draw(st.sampled_from([None, "pair", "diagonal"]))
+    if flaw is None:
+        return mat
+    rows = [list(row) for row in mat.rows]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    e = parse(draw(few_symbol_entries(vs.variables[:3])), vs)
+    if flaw == "pair" and i != j:
+        rows[i][j] = rows[i][j] + e
+    else:
+        rows[i][i] = e
+    return StructureMatrix(vs, rows, Domain(), "flawed")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StructureError as e:
+        return str(e)
+
+
+def _recorded(fn, *args) -> tuple:
+    """fn's outcome, and the entries it took residues of, in order."""
+    taken = []
+    residue = matrix.residue
+
+    def recording(e, point, rng=None, wrt=None):
+        taken.append(e)
+        return residue(e, point, rng, wrt)
+
+    with mock.patch.object(matrix, "residue", recording):
+        return _outcome(fn, *args), taken
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_block_matrices(), st.integers(0, 50), st.data())
+def test_pattern_walk_matches_the_dense_loops(mat, seed, data):
+    assert mat.check_skew() == dense_check_skew(mat)
+    assert mat.jacobi_report(seed=seed) == dense_scan_jacobi_report(mat, seed=seed)
+    # the same residues in the same order: ln atoms take their draws where first met
+    assert _recorded(mat.decompose, seed) == _recorded(dense_decompose, mat, seed)
+    vec = draw_vector(data, mat)
+    assert mat.apply(vec) == dense_apply(mat, vec)
+
+
+def test_pattern_walk_skips_the_zero_slots(monkeypatch):
+    mat = so3_sum(12)  # 72 nonzero entries of 1296
+    calls = []
+    is_zero = expr.Expr.is_zero
+    monkeypatch.setattr(expr.Expr, "is_zero", lambda e: calls.append(e) or is_zero(e))
+    assert mat.check_skew() == []
+    assert mat.jacobi_report().ok
+    assert mat.decompose().rank == 24
+    # the dense loops made 666 + 1962 + 4488 = 7116 calls
+    assert len(calls) < mat.n**2
