@@ -358,6 +358,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    if args.system is not None and (args.dim is not None or args.rank is not None):
+        raise UsageError("cost takes a SYSTEM or --dim and --rank, not both")
     if args.system is not None:
         sys_ = load_any(args.system)
         rep = Report("cost", sys_.name)

@@ -1,6 +1,6 @@
 """Exact linear algebra over Expr entries, and nullspaces modulo a prime.
 
-Everything here is small and dense: pivot blocks of structure matrices and
+Everything here is small: pivot blocks of structure matrices and
 coefficient systems extracted from closedness conditions.  A pivot block is
 a principal block of a skew matrix, so it is skew, and its determinant and
 solve split over the connected components of its nonzero pattern.  A
@@ -8,12 +8,12 @@ component's determinant is its Pfaffian squared, and its solve goes through
 the Pfaffians of its minors (the adjugate).  Both come from one zero-skipping
 row expansion with no division, so for polynomial entries no gcd runs until
 the one division by the Pfaffian.  A singular skew matrix is reported from a
-zero Pfaffian.  Non-skew input, and each skew component above _PFAFFIAN_MAX,
-where the expansion costs more than elimination, take one Gauss-Jordan
-reduction, whose Expr entries stay gcd-reduced at every step.  The sampled closedness systems are reduced modulo
-a prime and their nullspace is lifted to the rationals by rational
-reconstruction, unchecked: what the callers build from it is certified
-exactly downstream.
+zero Pfaffian, and a matrix that is not skew is refused.  On a dense
+component the expansion's cost grows exponentially with its size (a dense
+20-row block of entries c*x_i*x_j takes seconds).  The sampled
+closedness systems are reduced modulo a prime and their nullspace is lifted
+to the rationals by rational reconstruction, unchecked: what the callers
+build from it is certified exactly downstream.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from .poly import _PRIME
 # Wang's bound: a fraction n/d with |n|, d <= _HALF is determined by n/d mod _PRIME
 _HALF = math.isqrt(_PRIME // 2)
 
-# A skew component with at most this many rows takes the Pfaffian route, a
-# larger one elimination: on dense blocks with entries c*x_i*x_j the
-# expansion's det + solve is faster up to 14 rows and slower from 16.
-_PFAFFIAN_MAX = 14
-
 __all__ = ["det_exact", "solve_exact", "nullspace_fractions", "SingularMatrixError"]
 
 
@@ -39,125 +34,54 @@ class SingularMatrixError(Exception):
     pass
 
 
-def _rref(m: list, width: int, is_zero) -> tuple:
-    """Reduce m in place to reduced row echelon form over its first `width` columns.
-
-    Rows are pivoted on the first nonzero entry at or below the current row,
-    so the pivots are the ones forward elimination finds.  Returns the pivot
-    columns and the product of the pivots with one sign flip per row swap
-    (the determinant when m is square and every column has a pivot).
-    """
-    pivots = []
-    det = 1
-    r = 0
-    for c in range(width):
-        if r == len(m):
-            break
-        p = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            det = -det
-        pv = m[r][c]
-        det = det * pv
-        inv = 1 / pv
-        m[r][c:] = [v * inv for v in m[r][c:]]
-        for i in range(len(m)):
-            if i != r and not is_zero(m[i][c]):
-                f = m[i][c]
-                m[i][c:] = [vi - f * vr for vi, vr in zip(m[i][c:], m[r][c:])]
-        pivots.append(c)
-        r += 1
-    return pivots, det
-
-
 def det_exact(rows: list) -> Expr:
-    """Determinant of a square Expr matrix."""
-    comps = _skew_components(rows)
-    if comps is None:
-        return _det_rref(rows)
+    """Determinant of a square skew Expr matrix; ValueError if it is not skew."""
     det = EXPR_ONE
-    for c in comps:
-        if len(c) > _PFAFFIAN_MAX:
-            d = _det_rref(_block(rows, c))
-        else:
-            pf = EXPR_ZERO if len(c) % 2 else _pfaffian(rows, tuple(c), {})
-            d = pf * pf
-        if d.is_zero():
+    for c in _skew_components(rows):
+        pf = EXPR_ZERO if len(c) % 2 else _pfaffian(rows, tuple(c), {})
+        if pf.is_zero():
             return EXPR_ZERO
-        det = det * d
+        det = det * (pf * pf)
     return det
 
 
 def solve_exact(a: list, b: list) -> list:
-    """Solve A X = B exactly for Expr matrices.
+    """Solve A X = B exactly for a skew Expr matrix A.
 
     `b` is a list of right-hand-side columns (each a list of Exprs); the
     result is the list of solution columns.  Raises SingularMatrixError when
-    A is symbolically singular.
+    A is symbolically singular, and ValueError when A is not skew.
     """
-    comps = _skew_components(a)
-    if comps is None:
-        return _solve_rref(a, b, range(len(a)))
     cols = [[EXPR_ZERO] * len(a) for _ in b]
-    for c in comps:
-        if len(c) <= _PFAFFIAN_MAX:
-            _solve_pfaffian(a, b, c, cols)
-            continue
-        xs = _solve_rref(_block(a, c), [[col[i] for i in c] for col in b], c)
-        for out, x in zip(cols, xs):
-            for i, v in zip(c, x):
-                out[i] = v
+    for c in _skew_components(a):
+        _solve_pfaffian(a, b, c, cols)
     return cols
 
 
-def _block(a: list, idx: list) -> list:
-    return [[a[i][j] for j in idx] for i in idx]
-
-
-def _det_rref(rows: list) -> Expr:
-    n = len(rows)
-    pivots, det = _rref([list(r) for r in rows], n, Expr.is_zero)
-    if len(pivots) < n:
-        return EXPR_ZERO
-    return det if n else EXPR_ONE
-
-
-def _solve_rref(a: list, b: list, labels) -> list:
-    """Solve A X = B by elimination; a missing pivot is named by its entry in labels."""
-    n = len(a)
-    m = [list(a[i]) + [col[i] for col in b] for i in range(n)]
-    pivots, _ = _rref(m, n, Expr.is_zero)
-    if len(pivots) < n:
-        missing = next(c for c in range(n) if c not in pivots)
-        raise SingularMatrixError(f"no pivot in column {labels[missing]}")
-    return [[m[i][n + j] for i in range(n)] for j in range(len(b))]
-
-
 def _skew_components(a: list):
-    """The connected components of a skew matrix's nonzero pattern, or None if a is not skew.
+    """The connected components of a skew matrix's nonzero pattern.
 
     Each component is an ascending list of indices, and the components are
     ordered by their least index.  A skew matrix is block diagonal over its
     components after a symmetric permutation, which leaves the determinant
-    unchanged and splits a solve into one solve per component.
+    unchanged and splits a solve into one solve per component.  Raises
+    ValueError, naming the first offending entry, when a is not skew.
     """
     n = len(a)
     nbrs = [[] for _ in range(n)]
     for i in range(n):
         if not a[i][i].is_zero():
-            return None
+            raise ValueError(f"not skew: entry ({i}, {i}) is nonzero")
         for j in range(i + 1, n):
             e = a[i][j]
             if e.is_zero():
-                if not a[j][i].is_zero():
-                    return None
-            elif a[j][i] != -e:
-                return None
-            else:
+                if a[j][i].is_zero():
+                    continue
+            elif a[j][i] == -e:
                 nbrs[i].append(j)
                 nbrs[j].append(i)
+                continue
+            raise ValueError(f"not skew: entries ({i}, {j}) and ({j}, {i}) do not cancel")
     comps = []
     seen = [False] * n
     for s in range(n):

@@ -92,10 +92,6 @@ def mono_div(m1, m2):
     return tuple(sorted(rem.items(), key=lambda ae: atom_key(ae[0])))
 
 
-def mono_degree(m):
-    return sum(e for _, e in m)
-
-
 def mono_order_key(m):
     """Key of the graded-lex order, reversed: the leading monomial has the smallest key."""
     degree, pairs = 0, []

@@ -7,13 +7,13 @@ the solver that produced the candidate:
 * numeric residuals: the same components sampled at random points,
 * dynamic: RK4 trajectories of x' = J * grad(H) must hold C constant to
   tight drift.  The CLI's flow check runs the system's own Hamiltonian;
-  the tests also run random ones from random_polynomial_hamiltonian.  Each
-  flow check generates one Python kernel that runs a whole attempt over
-  local floats.  The kernel splits every field component and watched
-  function into coefficients and variable parts: the coefficients, all the
-  parameter arithmetic, are computed once per attempt, and each step does
-  only the variable arithmetic, with each ln of a variable argument taken
-  once per stage.
+  the tests also run random polynomial ones.  Each flow check generates
+  one Python kernel that runs a whole attempt over local floats.  The
+  kernel splits every field component and watched function into
+  coefficients and variable parts: the coefficients, all the parameter
+  arithmetic, are computed once per attempt, and each step does only the
+  variable arithmetic, with each ln of a variable argument taken once per
+  stage.
 
 The sampled gradient-rank vote lives here too, as a public check that
 shares nothing with the solver: integrate_all proves independence from the
@@ -27,7 +27,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .expr import (
     Domain,
@@ -39,10 +38,8 @@ from .expr import (
     _reduce,
     differentiate,
     free_symbols,
-    number,
     python_source,
     sample_values,
-    symbol,
     zero_verdict,
 )
 from .matrix import StructureMatrix
@@ -60,7 +57,6 @@ __all__ = [
     "gradient",
     "gradient_rank",
     "numeric_rank",
-    "random_polynomial_hamiltonian",
 ]
 
 
@@ -434,28 +430,3 @@ def _rk4_source(field, watchers, symbols: VariableSet, guarded) -> str:
     body += [f"return _n, ({', '.join(f'_t{j}' for j in range(m))},)"]
     return f"def _run({', '.join(xs + ps)}, _h, _n):\n" + "\n".join("    " + line for line in body)
 
-
-def random_polynomial_hamiltonian(
-    symbols: VariableSet, rng: random.Random, max_degree: int = 2
-) -> Expr:
-    """Random polynomial of degree <= 2 with small coefficients (|c| <= 1/4).
-
-    Small coefficients keep random trajectories from blowing up inside the
-    integration window, which would poison drift measurements.
-    """
-    names = symbols.variables
-    total = EXPR_ZERO
-    monos = [(i,) for i in range(len(names))]
-    if max_degree >= 2:
-        monos += [(i, j) for i in range(len(names)) for j in range(i, len(names))]
-    for m in monos:
-        c = Fraction(rng.randint(-4, 4), 16)
-        if not c:
-            continue
-        term = number(c)
-        for i in m:
-            term = term * symbol(names[i])
-        total = total + term
-    if total.is_zero():
-        total = symbol(names[0]) * number(Fraction(1, 16))
-    return total

@@ -21,9 +21,8 @@ from casinv.verify import (
     degeneracy_residual,
     flow_conservation,
     gradient_rank,
-    random_polynomial_hamiltonian,
 )
-from gradients import gradients_parallel
+from gradients import gradients_parallel, random_polynomial_hamiltonian
 
 import random
 

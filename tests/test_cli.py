@@ -127,6 +127,14 @@ def test_cost_without_arguments_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flags", [["--dim", "6", "--rank", "4"], ["--dim", "6"], ["--rank", "4"]])
+def test_cost_system_with_dim_or_rank_is_usage_error(capsys, flags):
+    code, out, err = run(capsys, "cost", "so3", *flags)
+    assert code == 2
+    assert out == ""
+    assert "not both" in err
+
+
 def test_cost_odd_rank_is_usage_error(capsys):
     code, _, err = run(capsys, "cost", "--dim", "5", "--rank", "3")
     assert code == 2

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from casinv import integrate, linalg, verify
+from casinv import integrate, verify
 from casinv.expr import (
     EXPR_ONE,
     EXPR_ZERO,
@@ -46,6 +46,7 @@ from casinv.poly import _PRIME
 from casinv.gamma import solve_gamma
 from casinv.sysfile import load_system, parse_system
 from casinv.verify import gradient_rank
+from elimination import rref
 from gradients import gradients_parallel
 
 VS = VariableSet(("x", "y", "z"), ("a",))
@@ -691,7 +692,7 @@ def _exact_greedy(rows) -> list:
     kept = []
     for i, row in enumerate(rows):
         trial = [list(rows[k]) for k in kept] + [list(row)]
-        pivots, _ = linalg._rref(trial, len(row), lambda v: v == 0)
+        pivots, _ = rref(trial, len(row), lambda v: v == 0)
         if len(pivots) == len(trial):
             kept.append(i)
     return kept

@@ -1,15 +1,16 @@
-"""Exact elimination: determinants, linear solves, rational nullspaces."""
+"""Exact linear algebra: skew determinants and solves, rational nullspaces."""
 
 import itertools
+import random
+import signal
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from casinv import linalg
-from casinv.expr import EXPR_ONE, EXPR_ZERO, VariableSet, number, parse
+from casinv.expr import EXPR_ONE, EXPR_ZERO, Expr, VariableSet, number, parse, symbol
 from casinv.fixtures import fixture_names, load_fixture
 from casinv.integrate import integrate_all
 from casinv.linalg import (
@@ -19,6 +20,7 @@ from casinv.linalg import (
     solve_exact,
 )
 from casinv.sysfile import load_system
+from elimination import rref
 
 VS = VariableSet(("x", "y", "z"), ("a",))
 
@@ -27,28 +29,63 @@ def E(text: str):
     return parse(text, VS)
 
 
+def _skew_from_upper(n, upper):
+    m = [[EXPR_ZERO] * n for _ in range(n)]
+    for (i, j), e in upper.items():
+        m[i][j], m[j][i] = E(e), -E(e)
+    return m
+
+
+def _det_rref(rows):
+    """det_exact by Gauss-Jordan over the whole matrix: the reference."""
+    n = len(rows)
+    pivots, det = rref([list(r) for r in rows], n, Expr.is_zero)
+    if len(pivots) < n:
+        return EXPR_ZERO
+    return det if n else EXPR_ONE
+
+
+def _rref_solve(a, b):
+    """solve_exact by Gauss-Jordan over the whole matrix: the reference."""
+    n = len(a)
+    m = [list(a[i]) + [col[i] for col in b] for i in range(n)]
+    pivots, _ = rref(m, n, Expr.is_zero)
+    assert len(pivots) == n
+    return [[m[i][n + j] for i in range(n)] for j in range(len(b))]
+
+
+def _residual_is_zero(a, x, b):
+    for i, row in enumerate(a):
+        acc = EXPR_ZERO
+        for e, v in zip(row, x):
+            if not e.is_zero() and not v.is_zero():
+                acc = acc + e * v
+        if acc != b[i]:
+            return False
+    return True
+
+
 def test_det_2x2():
-    m = [[E("x"), E("y")], [E("1"), E("x")]]
-    assert det_exact(m) == E("x^2 - y")
+    assert det_exact(_skew_from_upper(2, {(0, 1): "x + y"})) == E("(x + y)^2")
 
 
 def test_det_needs_row_swap():
-    m = [[EXPR_ZERO, E("y")], [E("x"), EXPR_ZERO]]
-    assert det_exact(m) == E("-x*y")
+    # J[0][1] = 0: the expansion skips it, as elimination would swap rows
+    m = _skew_from_upper(4, {(0, 2): "x", (0, 3): "y", (1, 2): "z", (1, 3): "1"})
+    assert det_exact(m) == E("(y*z - x)^2") == _det_rref(m)
 
 
 def test_det_singular_is_zero():
-    m = [[E("x"), E("y")], [E("2*x"), E("2*y")]]
+    # one even component whose Pfaffian x*y - x*y cancels
+    m = _skew_from_upper(4, {(0, 1): "x", (2, 3): "y", (0, 2): "x", (1, 3): "y"})
     assert det_exact(m).is_zero()
 
 
 def test_det_3x3_symbolic():
-    m = [
-        [E("x"), E("y"), E("0")],
-        [E("-y"), E("x"), E("z")],
-        [E("0"), E("-z"), E("x")],
-    ]
-    assert det_exact(m) == E("x^3 + x*y^2 + x*z^2")
+    # an odd skew matrix is singular whatever its entries
+    m = _skew_from_upper(3, {(0, 1): "x", (0, 2): "y", (1, 2): "z"})
+    assert det_exact(m).is_zero()
+    assert _det_rref(m).is_zero()
 
 
 def test_det_empty_matrix_is_one():
@@ -56,51 +93,71 @@ def test_det_empty_matrix_is_one():
 
 
 def test_det_rational_entries():
-    m = [[E("x/y"), E("1")], [E("1"), E("y/x")]]
-    assert det_exact(m).is_zero()
+    m = _skew_from_upper(4, {(0, 1): "x/y", (2, 3): "y/(x + 1)", (0, 3): "1/z"})
+    assert det_exact(m) == E("x^2/(x + 1)^2") == _det_rref(m)
 
 
 def test_solve_simple():
-    a = [[E("2"), E("0")], [E("0"), E("4")]]
-    b = [[E("x"), E("y")]]
-    (sol,) = solve_exact(a, b)
-    assert sol[0] == E("x/2")
-    assert sol[1] == E("y/4")
+    a = _skew_from_upper(2, {(0, 1): "2"})
+    (sol,) = solve_exact(a, [[E("x"), E("y")]])
+    assert sol == [E("-y/2"), E("x/2")]
 
 
 def test_solve_symbolic_coefficients():
-    # x * u + v = y,  u - v = 0  =>  u = v = y/(x + 1)
-    a = [[E("x"), E("1")], [E("1"), E("-1")]]
-    b = [[E("y"), E("0")]]
-    (sol,) = solve_exact(a, b)
-    expected = E("y/(x + 1)")
-    assert sol[0] == expected
-    assert sol[1] == expected
+    # (x + 1) * u1 = y,  -(x + 1) * u0 = 0
+    a = _skew_from_upper(2, {(0, 1): "x + 1"})
+    (sol,) = solve_exact(a, [[E("y"), EXPR_ZERO]])
+    assert sol == [EXPR_ZERO, E("y/(x + 1)")]
 
 
 def test_solve_multiple_columns():
-    a = [[E("1"), E("1")], [E("1"), E("-1")]]
-    b = [[E("2*x"), E("0")], [E("0"), E("2*y")]]
+    a = _skew_from_upper(2, {(0, 1): "1"})
+    b = [[E("2*x"), EXPR_ZERO], [EXPR_ZERO, E("2*y")]]
     s0, s1 = solve_exact(a, b)
-    assert s0 == [E("x"), E("x")]
-    assert s1 == [E("y"), E("-y")]
+    assert s0 == [EXPR_ZERO, E("2*x")]
+    assert s1 == [E("-2*y"), EXPR_ZERO]
 
 
 def test_solve_residual_is_zero():
-    a = [[E("x"), E("y"), E("1")], [E("0"), E("x"), E("y")], [E("1"), E("0"), E("x")]]
-    b = [[E("1"), E("x*y"), E("a")]]
-    (sol,) = solve_exact(a, b)
-    for i in range(3):
-        acc = EXPR_ZERO
-        for j in range(3):
-            acc = acc + a[i][j] * sol[j]
-        assert (acc - b[0][i]).is_zero()
+    a = _skew_from_upper(4, {(0, 1): "x", (0, 2): "y", (1, 3): "1", (2, 3): "x*y", (0, 3): "a"})
+    b = [E("1"), E("x*y"), E("a"), EXPR_ZERO]
+    (sol,) = solve_exact(a, [b])
+    assert _residual_is_zero(a, sol, b)
 
 
 def test_solve_singular_raises():
-    a = [[E("x"), E("x")], [E("x"), E("x")]]
+    a = _skew_from_upper(3, {(0, 1): "x", (0, 2): "x", (1, 2): "x"})
     with pytest.raises(SingularMatrixError):
-        solve_exact(a, [[E("1"), E("0")]])
+        solve_exact(a, [[E("1"), EXPR_ZERO, EXPR_ZERO]])
+
+
+def test_solve_matches_det_via_cramer():
+    a = _skew_from_upper(4, {(0, 1): "x", (0, 2): "y", (1, 3): "1", (2, 3): "x*y"})
+    b = [E("1"), EXPR_ZERO, E("y"), E("x")]
+    (sol,) = solve_exact(a, [b])
+    d = det_exact(a)
+    for k in range(4):
+        # Cramer: x_k * det(A) is the determinant of A with column k replaced by b
+        replaced = [[b[i] if j == k else a[i][j] for j in range(4)] for i in range(4)]
+        assert sol[k] * d == _det_rref(replaced)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # a nonzero diagonal entry
+        [[E("x"), E("y")], [E("-y"), EXPR_ZERO]],
+        # entries that do not cancel
+        [[EXPR_ZERO, E("y")], [E("y"), EXPR_ZERO]],
+        # a zero entry opposite a nonzero one
+        [[EXPR_ZERO, EXPR_ZERO], [E("x"), EXPR_ZERO]],
+    ],
+)
+def test_non_skew_input_raises(m):
+    with pytest.raises(ValueError, match="not skew"):
+        det_exact(m)
+    with pytest.raises(ValueError, match="not skew"):
+        solve_exact(m, [[E("1"), EXPR_ZERO]])
 
 
 def test_nullspace_known_kernel():
@@ -133,15 +190,6 @@ def test_nullspace_vectors_annihilate():
 
 def test_nullspace_empty_input():
     assert nullspace_fractions([]) == []
-
-
-def test_solve_matches_det_via_cramer():
-    a = [[E("x"), E("1")], [E("y"), E("x")]]
-    b = [[E("1"), E("0")]]
-    (sol,) = solve_exact(a, b)
-    d = det_exact(a)
-    assert (sol[0] * d - E("x")).is_zero()
-    assert (sol[1] * d - E("-y")).is_zero()
 
 
 def test_number_helper_matches_parse():
@@ -178,10 +226,19 @@ _entries = st.integers(-3, 3)
 
 
 @st.composite
-def _matrices(draw, square=True):
-    rows = draw(st.integers(1, 4))
-    cols = rows if square else draw(st.integers(1, 4))
+def _matrices(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     return [[Fraction(draw(_entries)) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _skew_matrices(draw):
+    n = draw(st.integers(1, 5))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        m[i][j] = Fraction(draw(_entries))
+        m[j][i] = -m[i][j]
+    return m
 
 
 def _exprs(m):
@@ -189,13 +246,13 @@ def _exprs(m):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_matrices())
+@given(_skew_matrices())
 def test_det_matches_leibniz(m):
     assert det_exact(_exprs(m)) == number(_leibniz(m))
 
 
 @settings(max_examples=80, deadline=None)
-@given(_matrices(), st.data())
+@given(_skew_matrices(), st.data())
 def test_solve_satisfies_system_or_raises_when_singular(m, data):
     n = len(m)
     ncols = data.draw(st.integers(1, 2))
@@ -206,16 +263,11 @@ def test_solve_satisfies_system_or_raises_when_singular(m, data):
         return
     sol = solve_exact(_exprs(m), _exprs(b))
     assert len(sol) == ncols
-    for x, rhs in zip(sol, b):
-        for i in range(n):
-            acc = EXPR_ZERO
-            for j in range(n):
-                acc = acc + number(m[i][j]) * x[j]
-            assert acc == number(rhs[i])
+    assert all(_residual_is_zero(_exprs(m), x, rhs) for x, rhs in zip(sol, _exprs(b)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(_matrices(square=False))
+@given(_matrices())
 def test_nullspace_annihilates_and_has_full_dimension(m):
     basis = nullspace_fractions(m)
     ncols = len(m[0])
@@ -236,7 +288,7 @@ P = linalg._PRIME
 def _nullspace_rref(rows: list, ncols: int) -> list:
     """nullspace_fractions by Gauss-Jordan over Fractions: the exact reference."""
     m = [list(r) for r in rows]
-    pivots, _ = linalg._rref(m, ncols, lambda v: v == 0)
+    pivots, _ = rref(m, ncols, lambda v: v == 0)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
@@ -337,15 +389,6 @@ def test_pipeline_systems_lift_every_vector(monkeypatch):
 # -- the Pfaffian route for skew matrices against elimination --------------------------
 
 
-def _rref_solve(a, b):
-    """solve_exact by Gauss-Jordan over the whole matrix: the reference."""
-    n = len(a)
-    m = [list(a[i]) + [col[i] for col in b] for i in range(n)]
-    pivots, _ = linalg._rref(m, n, lambda e: e.is_zero())
-    assert len(pivots) == n
-    return [[m[i][n + j] for i in range(n)] for j in range(len(b))]
-
-
 # two symbols and low degrees: Gauss-Jordan over Expr, the reference here, can
 # take minutes on a dense 4x4 block whose entries involve more symbols
 _POLYS = ["x", "y", "x*y", "x - y", "y + 1", "x^2 + 1", "2", "-1"]
@@ -378,12 +421,10 @@ def _skew(draw, rational: bool):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.booleans().flatmap(_skew), st.sampled_from([0, 2, 4, linalg._PFAFFIAN_MAX]))
-def test_skew_det_matches_elimination_and_pfaffian_squared(m, switch):
-    # a switch below a component's size sends that component to elimination
-    with mock.patch.object(linalg, "_PFAFFIAN_MAX", switch):
-        det = det_exact(m)
-    assert det == linalg._det_rref(m)
+@given(st.booleans().flatmap(_skew))
+def test_skew_det_matches_elimination_and_pfaffian_squared(m):
+    det = det_exact(m)
+    assert det == _det_rref(m)
     pf = linalg._pfaffian(m, tuple(range(len(m))), {})
     assert det == pf * pf
 
@@ -405,16 +446,15 @@ def test_pfaffian_adjugate_times_the_matrix_is_minus_pf(m):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.booleans().flatmap(_skew), st.sampled_from([0, 2, 4, linalg._PFAFFIAN_MAX]), st.data())
-def test_skew_solve_matches_elimination(m, switch, data):
+@given(st.booleans().flatmap(_skew), st.data())
+def test_skew_solve_matches_elimination(m, data):
     n = len(m)
     b = [[E(data.draw(st.sampled_from(_POLYS + ["0"]))) for _ in range(n)] for _ in range(2)]
-    with mock.patch.object(linalg, "_PFAFFIAN_MAX", switch):
-        if linalg._det_rref(m).is_zero():
-            with pytest.raises(SingularMatrixError):
-                solve_exact(m, b)
-            return
-        assert solve_exact(m, b) == _rref_solve(m, b)
+    if _det_rref(m).is_zero():
+        with pytest.raises(SingularMatrixError):
+            solve_exact(m, b)
+        return
+    assert solve_exact(m, b) == _rref_solve(m, b)
 
 
 def test_skew_components_split_block_diagonal_patterns():
@@ -429,45 +469,10 @@ def test_skew_components_split_block_diagonal_patterns():
     assert det_exact(m) == E("x^2*y^2")
     # a matrix that is not skew has no components for the Pfaffian route
     m[2][0] = x
-    assert linalg._skew_components(m) is None
+    with pytest.raises(ValueError, match=r"entries \(0, 2\) and \(2, 0\)"):
+        linalg._skew_components(m)
 
 
-def test_switch_sends_only_the_large_components_to_elimination():
-    x, y = E("x"), E("y")
-    z = EXPR_ZERO
-    # components [0, 1, 2, 3] (4 rows) and [4, 5] (2 rows)
-    m = [
-        [z, x, z, y, z, z],
-        [-x, z, y, z, z, z],
-        [z, -y, z, x, z, z],
-        [-y, z, -x, z, z, z],
-        [z, z, z, z, z, x * y],
-        [z, z, z, z, -x * y, z],
-    ]
-    b = [[E("1"), z, z, E("x"), E("y"), E("1")]]
-    reference = _rref_solve(m, b)
-    calls = []
-    rref = linalg._rref
-
-    def spy(a, width, is_zero):
-        calls.append(width)
-        return rref(a, width, is_zero)
-
-    with mock.patch.object(linalg, "_PFAFFIAN_MAX", 2), mock.patch.object(linalg, "_rref", spy):
-        assert det_exact(m) == linalg._det_rref(m)
-        calls.clear()
-        assert solve_exact(m, b) == reference
-    assert calls == [4]
-
-
-def _skew_from_upper(n, upper):
-    m = [[EXPR_ZERO] * n for _ in range(n)]
-    for (i, j), e in upper.items():
-        m[i][j], m[j][i] = E(e), -E(e)
-    return m
-
-
-@pytest.mark.parametrize("switch", [0, linalg._PFAFFIAN_MAX])
 @pytest.mark.parametrize(
     "m",
     [
@@ -477,9 +482,47 @@ def _skew_from_upper(n, upper):
         _skew_from_upper(4, {(0, 1): "x", (2, 3): "y", (0, 2): "x", (1, 3): "y"}),
     ],
 )
-def test_singular_skew_solve_raises(m, switch):
+def test_singular_skew_solve_raises(m):
     b = [[E("1")] + [EXPR_ZERO] * (len(m) - 1)]
-    with mock.patch.object(linalg, "_PFAFFIAN_MAX", switch):
-        assert det_exact(m).is_zero()
-        with pytest.raises(SingularMatrixError):
-            solve_exact(m, b)
+    assert det_exact(m).is_zero()
+    with pytest.raises(SingularMatrixError):
+        solve_exact(m, b)
+
+
+class _Deadline(BaseException):
+    """Raised by SIGALRM; a BaseException, so no handler inside casinv swallows it."""
+
+
+def _expire(signum, frame):
+    raise _Deadline("still running after 30 s")
+
+
+def _lotka_volterra_block(n: int, seed: int) -> list:
+    """The skew block a_ij*x_i*x_j with A = U S U^T, U random in [-2, 2], S symplectic."""
+    rng = random.Random(seed)
+    u = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    # (U S U^T)[i][j] with S = diag([[0, 1], [-1, 0]], ...)
+    a = [
+        [sum(ui[k] * uj[k + 1] - ui[k + 1] * uj[k] for k in range(0, n, 2)) for uj in u]
+        for ui in u
+    ]
+    xs = [symbol(f"x{i}") for i in range(n)]
+    return [[number(a[i][j]) * xs[i] * xs[j] for j in range(n)] for i in range(n)]
+
+
+def test_dense_16_row_component_matches_elimination():
+    # one component of 16 rows, 228 of its 240 off-diagonal entries nonzero
+    m = _lotka_volterra_block(16, seed=1)
+    assert linalg._skew_components(m) == [list(range(16))]
+    b = [[symbol(f"x{i}") if i % 3 else number(i - 5) for i in range(16)], [EXPR_ONE] * 16]
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        det = det_exact(m)
+        assert not det.is_zero()
+        assert det == _det_rref(m)
+        sol = solve_exact(m, b)
+        assert all(_residual_is_zero(m, x, rhs) for x, rhs in zip(sol, b))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

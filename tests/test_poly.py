@@ -22,12 +22,12 @@ from casinv.poly import (
     gcd,
     int_primitive,
     mono_content,
-    mono_degree,
     mono_mul,
     mono_order_key,
     quo,
 )
 from casinv.sysfile import load_system
+from gradients import mono_degree
 
 SYSTEMS = sorted((Path(__file__).parent / "systems").glob("*.psys"))
 

@@ -35,10 +35,9 @@ from casinv.verify import (
     gradient,
     gradient_rank,
     numeric_rank,
-    random_polynomial_hamiltonian,
 )
 from casinv.verify import _rk4_source, _split
-from gradients import gradients_parallel
+from gradients import gradients_parallel, random_polynomial_hamiltonian
 
 VS = VariableSet(("x", "y"), ("a",))
 
