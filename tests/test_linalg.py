@@ -473,6 +473,17 @@ def test_skew_components_split_block_diagonal_patterns():
         linalg._skew_components(m)
 
 
+def _with_regular_chain(m, pad):
+    """m beside a regular chain component of pad rows, J[i][i+1] = x (Pfaffian x^(pad/2))."""
+    n = len(m)
+    upper = {(n + i, n + i + 1): "x" for i in range(pad - 1)}
+    out = _skew_from_upper(n + pad, upper)
+    for i in range(n):
+        out[i][:n] = m[i]
+    return out
+
+
+@pytest.mark.parametrize("pad", [0, 14])
 @pytest.mark.parametrize(
     "m",
     [
@@ -482,7 +493,9 @@ def test_skew_components_split_block_diagonal_patterns():
         _skew_from_upper(4, {(0, 1): "x", (2, 3): "y", (0, 2): "x", (1, 3): "y"}),
     ],
 )
-def test_singular_skew_solve_raises(m):
+def test_singular_skew_solve_raises(m, pad):
+    # a regular 14-row component beside the singular one must not hide it
+    m = _with_regular_chain(m, pad)
     b = [[E("1")] + [EXPR_ZERO] * (len(m) - 1)]
     assert det_exact(m).is_zero()
     with pytest.raises(SingularMatrixError):
