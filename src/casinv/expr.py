@@ -60,6 +60,7 @@ __all__ = [
     "random_point",
     "sample_points",
     "sample_values",
+    "sum_products",
 ]
 
 
@@ -199,7 +200,7 @@ class Expr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.sort_key)
+            self._hash = hash((self.num, self.den))  # Poly hashes its terms' frozenset
         return self._hash
 
     def __eq__(self, other):
@@ -328,6 +329,48 @@ def _reduce(num: Poly, den: Poly, coprime: bool = False) -> Expr:
         num = num.scale(quo(1, lc))
         den = den.scale(quo(1, lc))
     return Expr(num, den)
+
+
+def sum_products(pairs) -> Expr:
+    """The canonical sum of a * b over the (a, b) pairs of Exprs, reduced once.
+
+    Each product's numerator a.num * b.num is scaled by D / (a.den * b.den),
+    with D the lcm of the products' denominators, and the numerators are
+    summed as one Poly.  The sum is zero exactly when that numerator is, so a
+    zero sum runs no gcd; a nonzero one is reduced by _reduce once.  The lcm
+    takes one gcd per further distinct denominator, none when all are equal.
+    """
+    dens: list = []  # the distinct denominators, in order of appearance
+    terms = []  # (numerator, index of its denominator in dens) of each nonzero product
+    for a, b in pairs:
+        if a.num.terms and b.num.terms:
+            d = a.den * b.den
+            k = next((k for k, e in enumerate(dens) if d is e or d == e), len(dens))
+            if k == len(dens):
+                dens.append(d)
+            terms.append((a.num * b.num, k))
+    if not terms:
+        return EXPR_ZERO
+    lcm = dens[0]
+    for d in dens[1:]:
+        g = poly.gcd(lcm, d)
+        lcm = lcm * (d if g.is_one() else poly.div_exact(d, g))
+    scales = [Poly.one()] if len(dens) == 1 else [poly.div_exact(lcm, d) for d in dens]
+    acc: dict = {}
+    for num, k in terms:
+        s = scales[k]
+        for m, c in (num if s.is_one() else num * s).terms.items():
+            v = acc.get(m, 0) + c
+            if v:
+                acc[m] = v
+            else:
+                del acc[m]
+    if not acc:
+        return EXPR_ZERO
+    num = Poly(acc)
+    if not lcm.is_const() and (q := poly.div_exact(num, lcm)) is not None:
+        return _from_poly(q)  # a polynomial sum: one exact division, no gcd
+    return _reduce(num, lcm)
 
 
 def _from_poly(p: Poly) -> Expr:

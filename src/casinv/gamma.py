@@ -80,11 +80,11 @@ def solve_gamma(
     solutions = [()] * len(deps)
     if r and deps:
         # unknowns x_k per dependent row: sum_k J[k][q] x_k = J[i][q] for pivot
-        # columns q; the coefficient matrix is the transposed pivot block
-        a_t = [[decomp.pivot_block[k][q] for k in range(r)] for q in range(r)]
-        rhs = [[mat.rows[i][q] for q in pivots] for i in deps]
+        # columns q, a system in the transposed pivot block A^T = -A; solved as
+        # A x = -J[i][pivots] on the block itself, with decompose's Pfaffians
+        rhs = [[-mat.rows[i][q] for q in pivots] for i in deps]
         try:
-            solutions = solve_exact(a_t, rhs)
+            solutions = solve_exact(decomp.pivot_block, rhs, decomp._pfaffians)
         except SingularMatrixError as e:
             # cannot happen with a certified pivot determinant; keep the trail anyway
             raise GammaCertificationError(

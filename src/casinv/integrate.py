@@ -53,10 +53,14 @@ and reduced in turn: a row that stays nonzero has a nonzero minor there, so
 it is independent as a function; an unlucky point can only drop a
 candidate, never admit a dependent one.
 
-Potentials are reconstructed variable by variable, over the active ones
-only (integrate in x1, correct the remainder, move on).  The antiderivative
-routine covers denominators that are monomial in the integration variable
-or linear in it; anything wilder raises rather than guessing.
+A polynomial form (unit denominators, no ln of a variable) gets its
+potential over Poly from the homotopy formula, certified by exact Poly
+equality of its partials with the coefficients.  Any other potential is
+reconstructed variable by variable, over the active ones only (integrate in
+x1, correct the remainder, move on).  The antiderivative routine covers
+denominators that are monomial in the integration variable or linear in it;
+anything wilder raises rather than guessing.  A combination's coefficients
+sum_f mu_f w_f are each one sum_products over a common denominator.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .expr import (
     VariableSet,
     _from_poly,
     _involves,
+    _mono_with_exp,
     _reduce,
     differentiate,
     free_symbols,
@@ -82,6 +87,7 @@ from .expr import (
     number,
     residue,
     sample_points,
+    sum_products,
     symbol,
     zero_verdict,
 )
@@ -267,7 +273,9 @@ def find_eta(
         d[a,b] + sum_k e_k (c_b df_k/dx_a - c_a df_k/dx_b) / f_k = 0
 
     for every pair a < b, which is linear in the exponents.  It is imposed
-    at that point and at further random points, and solved there.  An
+    at that point and at further random points, and solved there.  A factor
+    that is a bare variable v has the log-derivative 1/v in v's slot, taken
+    from the point with no residue call (a variable has no ln atom to draw).  An
     integer solution is returned only if integrate_closed finds a potential
     C with dC = eta * w exactly, which certifies it; otherwise the result is
     None.
@@ -305,13 +313,23 @@ def find_eta(
         if free_symbols(f) & variables
     ]
 
+    # a bare variable's log-derivative is 1/v in v's slot: no residue call, and no draw
+    variable_slots = {symbol(v): s for s, v in enumerate(wrt)}
+    slots = [variable_slots.get(f) for f in factors]
+
     def rows_at(point, jets=None):
         jets = jets or _jets(live, wrt, point, rng)
         c, d = [v for v, _ in jets], _defects(jets)
         logd = []
-        for fv, fg in _jets(factors, wrt, point, rng):
-            inv = pow(fv, -1, _PRIME)
-            logd.append([g * inv % _PRIME for g in fg])
+        for f, s in zip(factors, slots):
+            if s is None:
+                fv, fg = residue(f, point, rng, wrt)
+                inv = pow(fv, -1, _PRIME)
+                logd.append([g * inv % _PRIME for g in fg])
+            else:
+                lg = [0] * len(wrt)
+                lg[s] = pow(point[wrt[s]], -1, _PRIME)
+                logd.append(lg)
         return [
             [(c[b] * lg[a] - c[a] * lg[b]) % _PRIME for lg in logd] + [dab]
             for (a, b), dab in d.items()
@@ -404,8 +422,56 @@ def antiderivative(g: Expr, v: str, symbols: VariableSet) -> Expr:
     )
 
 
+def _polynomial_potential(coeffs, names) -> Expr | None:
+    """C with dC = the polynomial form exactly, by the homotopy formula; None if there is none.
+
+    A polynomial form has unit denominators and no ln atom of a variable (ln
+    of parameters is a constant).  C = sum_a sum_m c x^m x_a / (deg_x m + 1),
+    with deg_x the degree in the variables, is the potential of a closed such
+    form with no variable-free term, the one the variable-by-variable route
+    builds.  It is certified by dC/dx_a == c_a over Poly for every variable;
+    any other form, or a form that fails the check, gives None.
+    """
+    variables = set(names)
+    acc: dict = {}
+    for v, c in zip(names, coeffs):
+        if not c.den.is_one():
+            return None
+        for m, k in c.num.terms.items():
+            deg = 0
+            for a, e in m:
+                if isinstance(a, str):
+                    deg += e if a in variables else 0
+                elif free_symbols(a.arg) & variables:
+                    return None
+            mv = poly.mono_mul(m, ((v, 1),))
+            if q := acc.get(mv, 0) + poly.quo(k, deg + 1):
+                acc[mv] = q
+            else:
+                del acc[mv]
+    grad: dict = {}  # dC/dx_v's terms, all variables in one pass over C
+    for m, k in acc.items():
+        for i, (a, e) in enumerate(m):
+            if a in variables:  # distinct monomials of C give distinct ones here
+                grad.setdefault(a, {})[_mono_with_exp(m, i, e - 1)] = k * e
+    if any(grad.get(v, {}) != c.num.terms for v, c in zip(names, coeffs)):
+        return None
+    return _from_poly(Poly(acc))
+
+
 def integrate_closed(coeffs, symbols: VariableSet) -> Expr:
-    """Potential C with dC matching the closed 1-form, built variable by variable.
+    """Potential C with dC matching the closed 1-form, over Poly or variable by variable.
+
+    A polynomial form takes _polynomial_potential.  Any other form, or one
+    that fails its check, goes to _potential_by_variables, whose
+    NonElementaryError says why there is no potential.
+    """
+    potential = _polynomial_potential(coeffs, symbols.variables)
+    return _potential_by_variables(coeffs, symbols) if potential is None else potential
+
+
+def _potential_by_variables(coeffs, symbols: VariableSet) -> Expr:
+    """The potential built variable by variable, each step an antiderivative.
 
     Only the active variables (see _active) are walked: an inactive one has
     coefficient 0 and no antiderivative introduces it, so C is free of it.
@@ -456,7 +522,6 @@ def _combination_solutions(forms, symbols: VariableSet, domain, seed):
     names = symbols.variables
     n = len(names)
     nf = len(forms)
-    xs = [symbol(v) for v in names]
     actives = [_active(form, names)[1] for form in forms]
 
     def rows_at(point):
@@ -488,25 +553,16 @@ def _combination_solutions(forms, symbols: VariableSet, domain, seed):
     if rows is None:
         return []
 
+    # mu_f's monomials in its unknowns' column order: 1, then x_1 ... x_n
+    monos = [poly.MONO_ONE] + [((v, 1),) for v in names]
     solutions = []
     for vec in nullspace_fractions(rows):
-        mults = []
-        for fi in range(nf):
-            base = fi * (n + 1)
-            mu = number(vec[base]) if vec[base] else EXPR_ZERO
-            for v in range(n):
-                cv = vec[base + 1 + v]
-                if cv:
-                    mu = mu + number(cv) * xs[v]
-            mults.append(mu)
-        combined = []
-        for v in range(n):
-            acc = EXPR_ZERO
-            for fi in range(nf):
-                if not mults[fi].is_zero() and not forms[fi][v].is_zero():
-                    acc = acc + mults[fi] * forms[fi][v]
-            combined.append(acc)
-        solutions.append((combined, tuple(mults)))
+        mults = tuple(
+            _from_poly(Poly(dict(zip(monos, vec[fi * (n + 1) : (fi + 1) * (n + 1)]))))
+            for fi in range(nf)
+        )
+        combined = [sum_products(zip(mults, (form[v] for form in forms))) for v in range(n)]
+        solutions.append((combined, mults))
     return solutions
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .expr import EXPR_ONE, EXPR_ZERO, Expr
+from .expr import EXPR_ONE, EXPR_ZERO, Expr, sum_products
 from .poly import _PRIME
 
 # Wang's bound: a fraction n/d with |n|, d <= _HALF is determined by n/d mod _PRIME
@@ -34,27 +34,36 @@ class SingularMatrixError(Exception):
     pass
 
 
-def det_exact(rows: list) -> Expr:
-    """Determinant of a square skew Expr matrix; ValueError if it is not skew."""
+def det_exact(rows: list, pfaffians: dict | None = None) -> Expr:
+    """Determinant of a square skew Expr matrix; ValueError if it is not skew.
+
+    `pfaffians`, when given, is filled with the Pfaffians of the principal
+    blocks the expansion met, by index tuple; solve_exact on the same matrix
+    takes it and expands none of them again.
+    """
+    pfaffians = {} if pfaffians is None else pfaffians
     det = EXPR_ONE
     for c in _skew_components(rows):
-        pf = EXPR_ZERO if len(c) % 2 else _pfaffian(rows, tuple(c), {})
+        pf = EXPR_ZERO if len(c) % 2 else _pfaffian(rows, tuple(c), pfaffians)
         if pf.is_zero():
             return EXPR_ZERO
         det = det * (pf * pf)
     return det
 
 
-def solve_exact(a: list, b: list) -> list:
+def solve_exact(a: list, b: list, pfaffians: dict | None = None) -> list:
     """Solve A X = B exactly for a skew Expr matrix A.
 
     `b` is a list of right-hand-side columns (each a list of Exprs); the
-    result is the list of solution columns.  Raises SingularMatrixError when
-    A is symbolically singular, and ValueError when A is not skew.
+    result is the list of solution columns.  `pfaffians` is det_exact's memo
+    of A's Pfaffians, if there is one; it is extended here.  Raises
+    SingularMatrixError when A is symbolically singular, and ValueError when
+    A is not skew.
     """
+    pfaffians = {} if pfaffians is None else pfaffians
     cols = [[EXPR_ZERO] * len(a) for _ in b]
     for c in _skew_components(a):
-        _solve_pfaffian(a, b, c, cols)
+        _solve_pfaffian(a, b, c, cols, pfaffians)
     return cols
 
 
@@ -142,13 +151,14 @@ def _adjugate(a: list, idx: tuple, memo: dict) -> list:
     return adj
 
 
-def _solve_pfaffian(a: list, b: list, c: list, cols: list) -> None:
+def _solve_pfaffian(a: list, b: list, c: list, cols: list, memo: dict) -> None:
     """Solve the component c of the skew system A X = B into c's slots of cols.
 
     A N = -Pf I and N is skew, so A^-1 = N^T / Pf on the component: no
-    elimination, and the one division is by Pf.
+    elimination, and the one division is by Pf.  Each entry of N^T B is one
+    sum_products, so an entry that cancels runs no gcd.
     """
-    idx, memo = tuple(c), {}
+    idx = tuple(c)
     pf = EXPR_ZERO if len(c) % 2 else _pfaffian(a, idx, memo)
     if pf.is_zero():
         raise SingularMatrixError(f"zero Pfaffian on the component with rows {c}")
@@ -157,10 +167,7 @@ def _solve_pfaffian(a: list, b: list, c: list, cols: list) -> None:
     for out, col in zip(cols, b):
         rhs = [(adj[l], col[i]) for l, i in enumerate(c) if not col[i].is_zero()]
         for k, i in enumerate(c):
-            acc = EXPR_ZERO
-            for row, v in rhs:
-                if not row[k].is_zero():
-                    acc = acc + row[k] * v
+            acc = sum_products((row[k], v) for row, v in rhs)
             if not acc.is_zero():
                 out[i] = acc * inv
 

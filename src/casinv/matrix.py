@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .expr import (
     Domain,
@@ -35,6 +35,7 @@ from .expr import (
     free_symbols,
     residue,
     sample_points,
+    sum_products,
     zero_verdict,
 )
 from .linalg import _rref_mod_p, det_exact
@@ -85,6 +86,9 @@ class PivotDecomposition:
     dependent_rows: tuple
     pivot_block: tuple  # rank x rank tuple of Exprs
     pivot_det: Expr
+    # det_exact's Pfaffians of the pivot block, by index tuple; solve_gamma
+    # solves on the same block and reuses them
+    _pfaffians: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def pivot_rows_1based(self) -> tuple:
@@ -148,21 +152,22 @@ class StructureMatrix:
         return self.symbols.n
 
     def apply(self, vec) -> tuple:
-        """J * vec, each component summed in column order.
+        """J * vec, each component one sum_products over one common denominator.
 
         Only products of two nonzero factors are formed: the vector's nonzero
         slots are walked in order, each against its column of J's pattern.
         This is the one matrix-vector product: J * grad(C) for the bracket
         components, and J * w_i for the degeneracy relations, whose forms w_i
-        are kernel vectors of J.
+        are kernel vectors of J.  A component that cancels to zero, as every
+        certified one does, runs no gcd.
         """
-        out = [EXPR_ZERO] * self.n
+        products = [[] for _ in range(self.n)]
         for j, v in enumerate(vec):
             if v.is_zero():
                 continue
             for i, e in self._col_nz[j]:
-                out[i] = out[i] + e * v
-        return tuple(out)
+                products[i].append((e, v))
+        return tuple(sum_products(p) if p else EXPR_ZERO for p in products)
 
     # -- structural checks -----------------------------------------------------
 
@@ -310,11 +315,12 @@ class StructureMatrix:
                 if len(_rref_mod_p([[s[p][q] for q in subset] for p in subset], r)) < r:
                     continue
                 sym = tuple(tuple(self.rows[p][q] for q in subset) for p in subset)
-                det = det_exact(sym)
+                pfaffians = {}
+                det = det_exact(sym, pfaffians)
                 v = zero_verdict(det, self.symbols, self.domain, rng=random.Random(f"pivot:{seed}"))
                 if v.is_nonzero:
                     dep = tuple(i for i in range(n) if i not in subset)
-                    return PivotDecomposition(r, subset, dep, sym, det)
+                    return PivotDecomposition(r, subset, dep, sym, det, pfaffians)
                 if not v.samples:
                     raise StructureError("could not sample points where the matrix is regular")
         return PivotDecomposition(0, (), tuple(range(n)), (), EXPR_ONE)

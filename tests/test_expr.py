@@ -29,10 +29,13 @@ from casinv.expr import (
     random_point,
     random_rational,
     sample_points,
+    sum_products,
     symbol,
     zero_verdict,
     _reduce,
 )
+from casinv import poly
+from casinv.expr import EXPR_ZERO
 from casinv.poly import _PRIME, Poly
 
 VS = VariableSet(("x1", "x2", "x3"), ("a", "b", "c"))
@@ -178,6 +181,86 @@ def test_constant_folding_in_ln():
         parse("ln(0)", VS)
     with pytest.raises(ParseError):
         parse("ln(-2)", VS)
+
+
+# -- sums of products over one denominator ----------------------------------
+
+_sum_leaves = st.one_of(
+    st.sampled_from(
+        [
+            "x1", "x2 + a", "x1/x2", "(x1 + x3)/(x2 - x3)", "x2/(x1 + 1)", "1/(x1*x2)",
+            "a/b", "x3/(a + c)", "(x1 - b)/(a*b)",  # parameter-only denominators
+            "ln(x1)", "x1*ln(x2 + x3)", "b*ln(a)/(x1 + 1)", "ln(x1*x2) - ln(x1)",
+        ]
+    ).map(lambda text: parse(text, VS)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).map(number),
+)
+_sum_exprs = st.one_of(
+    _sum_leaves,
+    st.tuples(_sum_leaves, _sum_leaves).map(lambda t: t[0] + t[1]),
+    st.tuples(_sum_leaves, _sum_leaves.filter(lambda e: not e.is_zero())).map(lambda t: t[0] / t[1]),
+)
+
+
+def _reference_sum(pairs):
+    total = EXPR_ZERO
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_sum_exprs, _sum_exprs), max_size=4), st.data())
+def test_sum_products_is_the_expr_sum(pairs, data):
+    # cancel some products outright, negated or regrouped, so that zero sums are drawn too
+    drawn = len(pairs)
+    cancel = data.draw(st.lists(st.sampled_from(range(len(pairs))), unique=True) if pairs else st.just([]))
+    for k in cancel:
+        a, b = pairs[k]
+        how = data.draw(st.sampled_from(["neg-left", "neg-right", "product", "halves"]))
+        if how == "neg-left":
+            pairs.append((-a, b))
+        elif how == "neg-right":
+            pairs.append((b, -a))
+        elif how == "product":
+            pairs.append((a * b, number(-1)))
+        else:
+            pairs += [(a * number(Fraction(-1, 2)), b), (number(Fraction(-1, 2)), b * a)]
+    got = sum_products(pairs)
+    want = _reference_sum(pairs)
+    assert got == want
+    assert got.is_zero() == want.is_zero()
+    assert parse(format_expr(got), VS) == got  # canonical: the printed form reads back equal
+    if sorted(cancel) == list(range(drawn)):
+        assert got.is_zero()
+
+
+def test_sum_products_of_a_cancelling_sum_runs_no_gcd(monkeypatch):
+    # equal denominators need no lcm, and a zero numerator no reduction
+    w = [parse(t, VS) for t in ("x1*x3/(x2 + a)", "x2/(x2 + a)", "1")]
+    col = [parse(t, VS) for t in ("x2", "-x1*x3", "0")]
+    calls = []
+    gcd = poly.gcd
+    monkeypatch.setattr(poly, "gcd", lambda f, g: calls.append((f, g)) or gcd(f, g))
+    assert sum_products(zip(col, w)).is_zero()
+    assert calls == []
+
+
+def test_sum_products_of_a_polynomial_sum_divides_once(monkeypatch):
+    # so(4)*'s combined coefficient: x4 w1 + x3 w2 = x6 over the shared (x3^2 - x4^2)
+    den = "(x3^2 - x2^2)"
+    w1 = parse(f"(x1*x3 - x2*a)/{den}", VS)
+    w2 = parse(f"(-x1*x2 + x3*a)/{den}", VS)
+    calls = []
+    gcd = poly.gcd
+    monkeypatch.setattr(poly, "gcd", lambda f, g: calls.append((f, g)) or gcd(f, g))
+    assert sum_products([(parse("x2", VS), w1), (parse("x3", VS), w2)]) == parse("a", VS)
+    assert calls == []
+
+
+def test_sum_products_of_nothing_is_zero():
+    assert sum_products([]) is EXPR_ZERO
+    assert sum_products([(EXPR_ZERO, parse("x1", VS)), (parse("1/x2", VS), EXPR_ZERO)]).is_zero()
 
 
 # -- zero verdicts ----------------------------------------------------------

@@ -45,9 +45,9 @@ from casinv.matrix import StructureMatrix
 from casinv.poly import _PRIME
 from casinv.gamma import solve_gamma
 from casinv.sysfile import load_system, parse_system
-from casinv.verify import gradient_rank
+from casinv.verify import gradient, gradient_rank
 from elimination import rref
-from gradients import gradients_parallel
+from gradients import gradients_parallel, random_polynomial_hamiltonian
 
 VS = VariableSet(("x", "y", "z"), ("a",))
 SYSTEMS = Path(__file__).parent / "systems"
@@ -202,6 +202,65 @@ def test_integrate_closed_recovers_potential():
 def test_integrate_closed_rejects_open_form():
     with pytest.raises(NonElementaryError):
         integrate_closed((E("y"), E("-x"), EXPR_ZERO), VS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["1", "a", "a + ln(a)", "3/7*a^2"]))
+def test_polynomial_potential_equals_the_variable_by_variable_one(seed, scale):
+    # gradients of random polynomials of degree <= 4, with parameter and ln(a) coefficients
+    rng = random.Random(seed)
+    h = random_polynomial_hamiltonian(VS, rng)
+    c = h * h * E(scale) + random_polynomial_hamiltonian(VS, rng, max_degree=1)
+    coeffs = gradient(c, VS)
+    potential = integrate._polynomial_potential(coeffs, VS.variables)
+    assert potential is not None
+    assert potential == integrate._potential_by_variables(coeffs, VS)
+    assert integrate_closed(coeffs, VS) == potential
+    for v, coeff in zip(VS.variables, coeffs):
+        assert differentiate(potential, v, VS) == coeff
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [("y/x", "1", "0"), ("x/(a + 1)", "0", "0"), ("ln(x)", "0", "0"), ("y*ln(x + z)", "0", "1")],
+)
+def test_forms_that_are_not_polynomial_take_the_variable_by_variable_route(texts):
+    coeffs = tuple(E(t) for t in texts)
+    assert integrate._polynomial_potential(coeffs, VS.variables) is None
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [("y", "-x", "0"), ("2*x*y", "x^2 + z", "y + x"), ("a*x^2", "ln(a)*y", "x*z"), ("y/x", "1", "0")],
+)
+def test_open_forms_raise_the_variable_by_variable_message(texts):
+    coeffs = tuple(E(t) for t in texts)
+    assert integrate._polynomial_potential(coeffs, VS.variables) is None
+    with pytest.raises(NonElementaryError) as err:
+        integrate_closed(coeffs, VS)
+    assert str(err.value) == (
+        "reconstruction residual in d/dx is not identically zero; "
+        "the form is not closed over the supported class"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(VS.variables), st.sampled_from(["x", "y*z", "a"]))
+def test_open_polynomial_forms_fail_the_poly_check_like_the_old_route(seed, v, bump):
+    # a random gradient with one coefficient bumped is not closed: the Poly check
+    # refuses it and the variable-by-variable route raises its own message
+    rng = random.Random(seed)
+    coeffs = list(gradient(random_polynomial_hamiltonian(VS, rng), VS))
+    k = VS.variables.index(v)
+    coeffs[k] = coeffs[k] + E(bump) * E(v if bump == "a" else "y")
+    assume(any(not (differentiate(coeffs[i], w, VS) - differentiate(coeffs[j], u, VS)).is_zero()
+               for (i, u), (j, w) in itertools.combinations(enumerate(VS.variables), 2)))
+    assert integrate._polynomial_potential(coeffs, VS.variables) is None
+    with pytest.raises(NonElementaryError) as poly_route:
+        integrate_closed(coeffs, VS)
+    with pytest.raises(NonElementaryError) as by_variables:
+        integrate._potential_by_variables(coeffs, VS)
+    assert str(poly_route.value) == str(by_variables.value)
 
 
 # -- integrating factor search -----------------------------------------------------

@@ -539,3 +539,33 @@ def test_dense_16_row_component_matches_elimination():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_dense_16_row_solve_reuses_the_determinant_pfaffians(monkeypatch):
+    # solve_gamma solves A X = -B on the pivot block that decompose's det_exact expanded,
+    # with its memo: the whole-block Pfaffian is expanded once for both
+    m = _lotka_volterra_block(16, seed=1)
+    b = [[symbol(f"x{i}") if i % 3 else number(i - 5) for i in range(16)], [EXPR_ONE] * 16]
+    whole = tuple(range(16))
+    expanded = []
+    pfaffian = linalg._pfaffian
+
+    def counting(a, idx, memo):
+        if idx == whole and idx not in memo:
+            expanded.append(idx)
+        return pfaffian(a, idx, memo)
+
+    monkeypatch.setattr(linalg, "_pfaffian", counting)
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(30)
+    try:
+        memo = {}
+        det = det_exact(m, memo)
+        sol = solve_exact(m, [[-e for e in col] for col in b], memo)
+        assert len(expanded) == 1
+        assert det == _det_rref(m)
+        transposed = [list(col) for col in zip(*m)]
+        assert sol == _rref_solve(transposed, b)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -186,6 +186,25 @@ def test_apply_matches_dense_product(mat, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_dense_product_where_j_has_denominators(data):
+    # lv3-j1's J[1][2] = -x1*x2/(a*b) and J[1][3] = -x1*x3/a: the common denominator
+    # takes in J's denominators as well as the vector's
+    mat = load_fixture("lv3-j1").matrix
+    vec = draw_vector(data, mat)
+    extra = st.sampled_from(["a*b*x3/x1", "-b*x3/x2", "1/(a*b)", "x2/(a + x3)", "ln(x1)/b"])
+    for j in data.draw(st.lists(st.integers(0, mat.n - 1), unique=True)):
+        vec[j] = parse(data.draw(extra), mat.symbols)
+    assert mat.apply(vec) == dense_apply(mat, vec)
+
+
+def test_apply_certifies_lv3_j1_degeneracy_relation():
+    mat = load_fixture("lv3-j1").matrix
+    w = [parse(t, mat.symbols) for t in ("a*b*x3/x1", "-b*x3/x2", "1")]
+    assert all(e.is_zero() for e in mat.apply(w))
+
+
+@settings(max_examples=60, deadline=None)
 @given(sparse_skew_matrices(), st.data())
 def test_apply_negated_is_the_row_relation_residual(mat, data):
     # w = e_i - sum_k gamma_k e_k; for a skew J, -(J w)_j = J[i][j] - sum_k gamma_k J[k][j]
@@ -305,7 +324,9 @@ def test_singular_residue_blocks_never_reach_the_determinant(monkeypatch):
     # only one whose determinant is expanded
     calls = []
     det_exact = matrix.det_exact
-    monkeypatch.setattr(matrix, "det_exact", lambda rows: calls.append(rows) or det_exact(rows))
+    monkeypatch.setattr(
+        matrix, "det_exact", lambda rows, *memo: calls.append(rows) or det_exact(rows, *memo)
+    )
     systems = [load_fixture(name) for name in fixture_names()]
     systems += [load_system(p) for p in sorted((Path(__file__).parent / "systems").glob("*.psys"))]
     for sys_ in systems:
