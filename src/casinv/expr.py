@@ -337,8 +337,9 @@ def sum_products(pairs) -> Expr:
     Each product's numerator a.num * b.num is scaled by D / (a.den * b.den),
     with D the lcm of the products' denominators, and the numerators are
     summed as one Poly.  The sum is zero exactly when that numerator is, so a
-    zero sum runs no gcd; a nonzero one is reduced by _reduce once.  The lcm
-    takes one gcd per further distinct denominator, none when all are equal.
+    zero sum runs no gcd.  A nonzero one that D divides (a polynomial sum) is
+    one exact division; any other is reduced by _reduce once.  The lcm takes
+    one gcd per further distinct denominator, none when all are equal.
     """
     dens: list = []  # the distinct denominators, in order of appearance
     terms = []  # (numerator, index of its denominator in dens) of each nonzero product
