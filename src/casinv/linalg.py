@@ -37,13 +37,14 @@ class SingularMatrixError(Exception):
 def det_exact(rows: list, pfaffians: dict | None = None) -> Expr:
     """Determinant of a square skew Expr matrix; ValueError if it is not skew.
 
-    `pfaffians`, when given, is filled with the Pfaffians of the principal
-    blocks the expansion met, by index tuple; solve_exact on the same matrix
-    takes it and expands none of them again.
+    `pfaffians`, when given, is filled with the components of the matrix's
+    nonzero pattern and the Pfaffians of the principal blocks the expansion
+    met, by index tuple; solve_exact on the same matrix takes it and neither
+    scans the pattern nor expands those blocks again.
     """
     pfaffians = {} if pfaffians is None else pfaffians
     det = EXPR_ONE
-    for c in _skew_components(rows):
+    for c in _components(rows, pfaffians):
         pf = EXPR_ZERO if len(c) % 2 else _pfaffian(rows, tuple(c), pfaffians)
         if pf.is_zero():
             return EXPR_ZERO
@@ -56,15 +57,23 @@ def solve_exact(a: list, b: list, pfaffians: dict | None = None) -> list:
 
     `b` is a list of right-hand-side columns (each a list of Exprs); the
     result is the list of solution columns.  `pfaffians` is det_exact's memo
-    of A's Pfaffians, if there is one; it is extended here.  Raises
-    SingularMatrixError when A is symbolically singular, and ValueError when
-    A is not skew.
+    of A's components and Pfaffians, if there is one; it is extended here.
+    Raises SingularMatrixError when A is symbolically singular, and
+    ValueError when A is not skew (unless det_exact took A's memo first).
     """
     pfaffians = {} if pfaffians is None else pfaffians
     cols = [[EXPR_ZERO] * len(a) for _ in b]
-    for c in _skew_components(a):
+    for c in _components(a, pfaffians):
         _solve_pfaffian(a, b, c, cols, pfaffians)
     return cols
+
+
+def _components(a: list, memo: dict) -> list:
+    """_skew_components of a, kept in the Pfaffian memo under the key "components"."""
+    comps = memo.get("components")
+    if comps is None:
+        comps = memo["components"] = _skew_components(a)
+    return comps
 
 
 def _skew_components(a: list):

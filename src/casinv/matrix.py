@@ -86,8 +86,8 @@ class PivotDecomposition:
     dependent_rows: tuple
     pivot_block: tuple  # rank x rank tuple of Exprs
     pivot_det: Expr
-    # det_exact's Pfaffians of the pivot block, by index tuple; solve_gamma
-    # solves on the same block and reuses them
+    # det_exact's memo of the pivot block: its components and its Pfaffians
+    # by index tuple; solve_gamma solves on the same block and reuses them
     _pfaffians: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property

@@ -6,9 +6,13 @@ the solver that produced the candidate:
 * symbolic: every component of J * grad(C) must vanish identically,
 * numeric residuals: the same components sampled at random points,
 * dynamic: RK4 trajectories of x' = J * grad(H) must hold C constant to
-  tight drift.  The CLI's flow check runs the system's own Hamiltonian;
-  the tests also run random polynomial ones.  Each flow check generates
-  one Python kernel that runs a whole attempt over local floats.  The
+  tight drift.  The step size is controlled by Richardson step doubling
+  (Hairer, Norsett & Wanner, Solving ODEs I, II.4): each step is taken
+  whole and as two halves, their difference bounds the local error, and
+  the extrapolated value is kept.  The CLI's flow check runs the system's
+  own Hamiltonian; the tests also run random polynomial ones.  Each flow
+  check generates one Python kernel that runs a whole attempt over local
+  floats.  The
   kernel splits every field component and watched function into
   coefficients and variable parts: the coefficients, all the parameter
   arithmetic, are computed once per attempt, and each step does only the
@@ -63,6 +67,8 @@ __all__ = [
 # drift above this fails the flow check; the Hamiltonian's own drift above it
 # marks an attempt the integrator did not resolve
 FLOW_DRIFT_TOL = 1e-6
+# the local error a flow step may make, relative to 1 + |x_i|
+FLOW_STEP_TOL = 1e-3 * FLOW_DRIFT_TOL
 
 
 class VerificationError(Exception):
@@ -208,25 +214,33 @@ def flow_conservation(
     seed: int = 0,
     scales: tuple = (1.0, 0.5, 0.25, 0.125, 0.0625),
 ) -> FlowResult:
-    """Integrate x' = J grad(H) with RK4 and measure invariant drift.
+    """Integrate x' = J grad(H) with error-controlled RK4 and measure invariant drift.
 
-    Initial variable and parameter values are drawn uniformly from the box
-    scale * [1, 2].  Quadratic and cubic brackets can blow up in finite
-    time at unit scale, where a fixed-step integrator measures nothing but
-    its own truncation error, so each trajectory backs off down the scale
-    ladder until the whole window [0, t_end] completes: an attempt is
-    abandoned when a declared-positive variable dips below 1e-6, any
-    coordinate escapes past 1e6 or stops being finite, a drift is NaN, or a
-    step leaves the domain of the field or a watched function (overflow,
-    division by zero, ln of a non-positive value).  The attempts run in one
-    kernel from _rk4_kernel, compiled once per call.  An attempt that
-    completes with the Hamiltonian drifting by more than FLOW_DRIFT_TOL is
-    retried the same way: H is conserved by construction, so that drift is
-    integrator error, not evidence against any invariant.  The last scale is
-    judged as it comes.
-    Conservation is scale-free, so drift over a completed window at a
-    resolvable scale is the honest measurement.  Drift is |f(x_t) - f(x_0)|
-    scaled by 1 + |f(x_0)|, maximized over steps and completed trajectories.
+    Each step is taken whole and as two halves; their difference estimates
+    the local error relative to 1 + |x_i|, which must stay within
+    FLOW_STEP_TOL, and the next step size follows from it.  dt is the first
+    step and the smallest: no attempt takes more than t_end/dt accepted
+    steps.  Initial variable and parameter values are drawn uniformly from
+    the box scale * [1, 2].  Quadratic and cubic brackets can blow up in
+    finite time at unit scale, where the step would have to shrink without
+    bound, so each trajectory backs off down the scale ladder until the
+    whole window [0, t_end] completes: an attempt is abandoned when its
+    step would drop below dt, a declared-positive variable dips below 1e-6,
+    any coordinate escapes past 1e6 or stops being finite, a drift is NaN,
+    or a step leaves the domain of the field or a watched function
+    (overflow, division by zero, ln of a non-positive value); the time of
+    the state that failed is recorded.  The attempts run in one kernel from
+    _rk4_kernel, compiled once per call.  An attempt that completes with the
+    Hamiltonian drifting by more than FLOW_DRIFT_TOL is retried the same
+    way: H is conserved by construction, so that drift is integrator error,
+    not evidence against any invariant.  The last scale is judged as it
+    comes: there a step that asks for less than dt is held at dt and
+    accepted whatever its error.  Conservation is scale-free, so drift over
+    a completed window at a resolvable scale is the honest measurement.
+    Drift is |f(x_t) - f(x_0)| scaled by 1 + |f(x_0)|, maximized over both
+    half points of every accepted step and over completed trajectories.
+    steps_per_trajectory is the most accepted steps a completed trajectory
+    took.
     """
     symbols = mat.symbols
     invariants = list(invariants)
@@ -238,30 +252,32 @@ def flow_conservation(
     ]
     run = _rk4_kernel(bracket_components(mat, hamiltonian), watchers, symbols, guarded)
     rng = random.Random(f"flow:{seed}")
-    steps = int(round(t_end / dt))
+    last = len(scales) - 1
     drifts = [0.0] * len(watchers)
     aborted = []
     completed = 0
+    longest = 0
 
     for traj in range(trajectories):
         for k, scale in enumerate(scales):
             x = [scale * rng.uniform(1.0, 2.0) for _ in symbols.variables]
             pvals = [scale * rng.uniform(1.0, 2.0) for _ in symbols.parameters]
-            done, trial = run(*x, *pvals, dt, steps)
+            t, steps, trial = run(*x, *pvals, dt, t_end, k == last)
             if trial is None:
-                aborted.append((traj, round(done * dt, 12), scale))
+                aborted.append((traj, round(t, 12), scale))
                 continue
-            if trial[-1] > FLOW_DRIFT_TOL and k < len(scales) - 1:
-                aborted.append((traj, round(steps * dt, 12), scale))
+            if trial[-1] > FLOW_DRIFT_TOL and k < last:
+                aborted.append((traj, round(t_end, 12), scale))
                 continue
             completed += 1
-            drifts = [max(d, t) for d, t in zip(drifts, trial)]
+            longest = max(longest, steps)
+            drifts = [max(d, v) for d, v in zip(drifts, trial)]
             break
     return FlowResult(
         invariant_drifts=tuple(drifts[: len(invariants)]),
         hamiltonian_drift=drifts[-1],
         trajectories=trajectories,
-        steps_per_trajectory=steps,
+        steps_per_trajectory=longest,
         completed=completed,
         aborted=tuple(aborted),
     )
@@ -298,24 +314,45 @@ def _split(e: Expr, variables) -> tuple:
 
 
 def _rk4_kernel(field, watchers, symbols: VariableSet, guarded):
-    """One flow attempt compiled from _rk4_source: `_run(*values, h, steps) -> (step, drifts)`."""
+    """One flow attempt compiled from _rk4_source.
+
+    `_run(*values, dt, t_end, hold) -> (t, steps, drifts)`.
+    """
     ns = {"log": math.log, "_FAIL": (OverflowError, ZeroDivisionError, ValueError)}
     exec(_rk4_source(field, watchers, symbols, guarded), ns)
     return ns["_run"]
 
 
 def _rk4_source(field, watchers, symbols: VariableSet, guarded) -> str:
-    """Source of one flow attempt, `_run(*values, h, steps) -> (step, drifts)`.
+    """Source of one flow attempt, `_run(*values, dt, t_end, hold) -> (t, steps, drifts)`.
 
     `_run` takes the start point and the parameters in symbols.all_symbols()
-    order, then runs up to `steps` RK4 steps of size h along x' = field.
-    After each step it applies the abort guards (a guarded variable below
-    1e-6, any coordinate past 1e6 or not finite) and tracks each watcher's
-    drift |w(x_t) - w(x_0)| / (1 + |w(x_0)|).  It returns (steps, drifts)
-    for a completed window, and (k, None) for an attempt that ends at step k:
-    by a guard, by a drift that is NaN, or by an evaluation that overflows,
-    divides by zero or leaves log's domain.  k = 0 when that happens at the
-    start point, and k = 1 when a coefficient only the field uses fails.
+    order, then integrates x' = field over [0, t_end] by RK4 with Richardson
+    step doubling (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A step
+    of size H starts as dt; it is taken once whole (w) and twice as H/2
+    (through the midpoint a, to e), the whole step and the first half sharing
+    their first stage.  Its error is err = max_i |e_i - w_i| / (15 (1 +
+    |e_i|)), NaN if any term is.  A step with err <= FLOW_STEP_TOL is
+    accepted and the state becomes e + (e - w)/15, the locally extrapolated
+    value.  Accepted or not, the next H is H times 0.9 (tol/err)^(1/5)
+    clamped to [0.2, 4] (0.2 for a NaN err, 4 for a zero one), shortened to
+    land on t_end.  dt is the floor: when H drops below it the attempt is cut
+    short at the time reached, unless hold is true; then H is held at dt and
+    the next step is accepted whatever its error.  Every step but the last is
+    at least dt long, so an attempt takes at most ceil(t_end/dt) accepted
+    steps.
+
+    At both half points a and the new state of an accepted step the kernel
+    applies the abort guards (a guarded variable below 1e-6, any coordinate
+    past 1e6 or not finite) and tracks each watcher's drift
+    |w(x_t) - w(x_0)| / (1 + |w(x_0)|).  It returns (t_end, steps, drifts)
+    for a completed window and (t, steps, None) for an attempt that ends at
+    time t: by the step floor, by a guard, by a drift that is NaN, or by an
+    evaluation that overflows, divides by zero or leaves log's domain.  A
+    state's failure reports its own time; an evaluation failure inside a
+    step reports the half point it was computing toward.  t = 0 when the
+    watchers fail at the start point, and t = dt when a coefficient only the
+    field uses fails.
 
     The kernel is specialised to each attempt's parameters.  Every field
     component and watcher is written through _split as sums over variable
@@ -326,7 +363,7 @@ def _rk4_source(field, watchers, symbols: VariableSet, guarded) -> str:
     division unless a denominator has a variable part.  Within a stage, and
     across the watchers, each ln atom with a variable argument is computed
     once (_l0, _l1, ...).  A square is written f*f, so an overflow there
-    gives inf, which the guards catch at the same step, where pow raised.
+    gives inf, which the guards catch at the same point, where pow raised.
     The body is straight-line code over locals, one name per coordinate and
     stage.  Generated names all start with `_`,
     which no system identifier can, so no symbol shadows them.
@@ -387,46 +424,100 @@ def _rk4_source(field, watchers, symbols: VariableSet, guarded) -> str:
     moved = [_split(e, variables) for e in field]
     base_logs, base = emit(watched, xs)
     watcher_coefs = len(hoisted)  # emitted first; the rest only the field uses
-    stages = []
-    point = xs
-    for k, lead in ((1, "_hh"), (2, "_hh"), (3, "_h"), (4, None)):
-        stages.append((k, lead, emit(moved, point)))
-        point = ys
-    logs, now = emit(watched, xs)
 
-    body = ["_hh = 0.5 * _h", "_h6 = _h / 6.0", "try:"]
+    def stage(k, point):
+        """Lines evaluating the field at point into _k{k}_0, _k{k}_1, ..."""
+        lines, srcs = emit(moved, point)
+        return lines + [f"_k{k}_{i} = {src}" for i, src in enumerate(srcs)]
+
+    def step(start, ks, half, h, h6, out):
+        """RK4 of size h from start, its first stage _k{ks[0]} already computed, into out."""
+        lines = []
+        for prev, k, lead in zip(ks, ks[1:], (half, half, h)):
+            lines += [f"_y{i} = {start}{i} + {lead} * _k{prev}_{i}" for i in range(n)]
+            lines += stage(k, ys)
+        a, b, c, d = (f"_k{k}_" for k in ks)
+        lines += [
+            f"{out}{i} = {start}{i} + {h6} * ({a}{i} + 2.0 * {b}{i} + 2.0 * {c}{i} + {d}{i})"
+            for i in range(n)
+        ]
+        return lines
+
+    def check(point, when):
+        """Lines applying the guards and the watchers' drift at point; a failure returns when."""
+        fail = f"return {when}, _n, None"
+        # chained comparisons are False for NaN, so a non-finite coordinate escapes too
+        inside = [f"{'1e-6' if i in guarded else '-1e6'} <= {point}{i} <= 1e6" for i in range(n)]
+        lines = [f"if not ({' and '.join(inside)}):", f"    {fail}", "try:"]
+        logs, now = emit(watched, [f"{point}{i}" for i in range(n)])
+        lines += ["    " + line for line in logs]
+        lines += [f"    _v{j} = {src}" for j, src in enumerate(now)]
+        lines += ["except _FAIL:", f"    {fail}"]
+        for j in range(m):
+            lines += [
+                f"_d = abs(_v{j} - _b{j}) / _m{j}",
+                f"if not _d <= _t{j}:",
+                "    if _d != _d:",
+                f"        {fail}",
+                f"    _t{j} = _d",
+            ]
+        return lines
+
+    first_half = stage(1, xs) + step("_s", (1, 2, 3, 4), "_hq", "_hh", "_hh6", "_a")
+    second_half = stage(5, [f"_a{i}" for i in range(n)])
+    second_half += step("_a", (5, 6, 7, 8), "_hq", "_hh", "_hh6", "_e")
+    whole = step("_s", (1, 9, 10, 11), "_hh", "_H", "_h6", "_w")
+    error = [f"_err = abs(_e0 - _w0) / (15.0 * (1.0 + abs(_e0)))"]
+    for i in range(1, n):
+        error += [
+            f"_q = abs(_e{i} - _w{i}) / (15.0 * (1.0 + abs(_e{i})))",
+            "if _q > _err or _q != _q:",
+            "    _err = _q",
+        ]
+
+    body = ["try:"]
     body += ["    " + line for line in hoisted[:watcher_coefs] + base_logs]
     body += [f"    _b{j} = {src}" for j, src in enumerate(base)]
-    body += ["except _FAIL:", "    return 0, None"]
+    body += ["except _FAIL:", "    return 0.0, 0, None"]
     if hoisted[watcher_coefs:]:
         body += ["try:", *("    " + line for line in hoisted[watcher_coefs:])]
-        body += ["except _FAIL:", "    return 1, None"]
+        body += ["except _FAIL:", "    return _dt, 0, None"]
     body += [f"_m{j} = 1.0 + abs(_b{j})" for j in range(m)]
     body += [f"_t{j} = 0.0" for j in range(m)]
-    body += ["for _i in range(_n):", "    try:"]
-    for k, lead, (lines, srcs) in stages:
-        body += ["        " + line for line in lines]
-        body += [f"        _k{k}_{i} = {src}" for i, src in enumerate(srcs)]
-        if lead:
-            body += [f"        _y{i} = _s{i} + {lead} * _k{k}_{i}" for i in range(n)]
-    body += [
-        f"        _s{i} = _s{i} + _h6 * (_k1_{i} + 2.0 * _k2_{i} + 2.0 * _k3_{i} + _k4_{i})"
-        for i in range(n)
+    body += ["_now = 0.0", "_H = _dt", "_n = 0", "_held = False", "while True:"]
+    loop = [
+        "_end = _H >= _T - _now - 1e-9 * _T",
+        "if _end:",
+        "    _H = _T - _now",
+        "_hh = 0.5 * _H",
+        "_hq = 0.5 * _hh",
+        "_h6 = _H / 6.0",
+        "_hh6 = _hh / 6.0",
+        "try:",
+        *("    " + line for line in first_half),
+        "except _FAIL:",
+        "    return _now + _hh, _n, None",
+        "try:",
+        *("    " + line for line in second_half + whole),
+        "except _FAIL:",
+        "    return _now + _H, _n, None",
+        *error,
+        f"if _err <= {FLOW_STEP_TOL!r} or _held:",
+        *("    " + line for line in check("_a", "_now + _hh")),
+        *(f"    _s{i} = _e{i} + (_e{i} - _w{i}) / 15.0" for i in range(n)),
+        *("    " + line for line in check("_s", "_now + _H")),
+        "    _n += 1",
+        "    if _end:",
+        f"        return _T, _n, ({', '.join(f'_t{j}' for j in range(m))},)",
+        "    _now = _now + _H",
+        f"_f = 0.9 * ({FLOW_STEP_TOL!r} / _err) ** 0.2 if _err else 4.0",
+        "_H = _H * (0.2 if not _f >= 0.2 else 4.0 if _f > 4.0 else _f)",
+        "_held = _H < _dt",
+        "if _held:",
+        "    if not _hold:",
+        "        return _now, _n, None",
+        "    _H = _dt",
     ]
-    # chained comparisons are False for NaN, so a non-finite coordinate escapes too
-    inside = [f"{'1e-6' if i in guarded else '-1e6'} <= _s{i} <= 1e6" for i in range(n)]
-    body += [f"        if not ({' and '.join(inside)}):", "            return _i + 1, None"]
-    body += ["        " + line for line in logs]
-    body += [f"        _w{j} = {src}" for j, src in enumerate(now)]
-    body += ["    except _FAIL:", "        return _i + 1, None"]
-    for j in range(m):
-        body += [
-            f"    _d = abs(_w{j} - _b{j}) / _m{j}",
-            f"    if not _d <= _t{j}:",
-            "        if _d != _d:",
-            "            return _i + 1, None",
-            f"        _t{j} = _d",
-        ]
-    body += [f"return _n, ({', '.join(f'_t{j}' for j in range(m))},)"]
-    return f"def _run({', '.join(xs + ps)}, _h, _n):\n" + "\n".join("    " + line for line in body)
-
+    body += ["    " + line for line in loop]
+    head = f"def _run({', '.join(xs + ps)}, _dt, _T, _hold):\n"
+    return head + "\n".join("    " + line for line in body)

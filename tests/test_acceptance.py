@@ -180,7 +180,9 @@ def test_6_flow_conservation(announce):
                     failures.append(
                         f"{name}: invariant {i + 1} drifts {d:.3e} under random H #{k}"
                     )
-    announce(6, "invariants conserved along RK4 flow, dt=1e-3 over [0,1]", failures)
+    announce(
+        6, "invariants conserved along step-doubling RK4 flow over [0,1], step floor 1e-3", failures
+    )
 
 
 def test_7_quadrature_cost(announce):

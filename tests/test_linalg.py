@@ -541,6 +541,20 @@ def test_dense_16_row_component_matches_elimination():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_solve_reuses_the_determinant_components(monkeypatch):
+    # with det_exact's memo, solve_exact splits the matrix by the components
+    # det_exact found and tests no slot for zero again
+    m = _skew_from_upper(4, {(0, 2): "x", (1, 3): "y"})
+    b = [[E("1"), E("x"), EXPR_ZERO, E("y")]]
+    scans = []
+    components = linalg._skew_components
+    monkeypatch.setattr(linalg, "_skew_components", lambda a: scans.append(a) or components(a))
+    memo = {}
+    det_exact(m, memo)
+    assert solve_exact(m, b, memo) == solve_exact(m, b)
+    assert len(scans) == 2  # det_exact's, and the memo-less solve's
+
+
 def test_dense_16_row_solve_reuses_the_determinant_pfaffians(monkeypatch):
     # solve_gamma solves A X = -B on the pivot block that decompose's det_exact expanded,
     # with its memo: the whole-block Pfaffian is expanded once for both

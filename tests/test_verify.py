@@ -27,6 +27,7 @@ from casinv.poly import Poly
 from casinv.sysfile import parse_system
 from casinv.verify import (
     FLOW_DRIFT_TOL,
+    FLOW_STEP_TOL,
     FlowResult,
     bracket_components,
     casimir_check,
@@ -36,7 +37,7 @@ from casinv.verify import (
     gradient_rank,
     numeric_rank,
 )
-from casinv.verify import _rk4_source, _split
+from casinv.verify import _rk4_kernel, _rk4_source, _split
 from gradients import gradients_parallel, random_polynomial_hamiltonian
 
 VS = VariableSet(("x", "y"), ("a",))
@@ -132,7 +133,8 @@ def test_flow_preserves_fixture_invariants():
     flow = flow_conservation(
         sys_.matrix, sys_.hamiltonian, [c.expr for c in result.casimirs]
     )
-    assert flow.steps_per_trajectory == 1000
+    # the controlled step grows past dt = 1e-3, far inside the fixed budget of 1000 steps
+    assert 0 < flow.steps_per_trajectory < 100
     assert all(d < 1e-6 for d in flow.invariant_drifts)
     assert flow.hamiltonian_drift < 1e-6
 
@@ -181,12 +183,21 @@ def test_bracket_of_zero_is_zero():
     assert all(c.is_zero() for c in comps)
 
 
+# x' = -12*x*y, y' = -y: x decays by up to e^-12 while the step error is
+# controlled relative to 1 + |x|, so ln(x) in H drifts past FLOW_DRIFT_TOL on
+# some trajectories
+DECAY = "system decay\nvars x y\ndomain x > 0\nJ[1][2] = x*y\nH = -12*y + ln(x)\n"
+# x' = 100*y, y' = -100*x: RK4's error at dt = 1e-3 is far above FLOW_STEP_TOL
+FAST = "system fast\nvars x y\nJ[1][2] = 1\nH = 50*x^2 + 50*y^2\n"
+# x' = x^2 blows up at t = 1/x0
+BLOW = "system blow\nvars x y\nJ[1][2] = x^2\nH = y\n"
+
+
 def test_flow_judges_the_last_scale_as_it_comes():
-    # coarse steps leave the Hamiltonian drifting past FLOW_DRIFT_TOL; with no
-    # smaller scale left the attempt still counts, drift and all
-    sys_ = load_fixture("so3")
-    inv = [sys_.expect.casimirs[1][0]]
-    flow = flow_conservation(sys_.matrix, sys_.hamiltonian, inv, dt=0.25, t_end=2.0, scales=(1.0,))
+    # the Hamiltonian drifts past FLOW_DRIFT_TOL; with no smaller scale left
+    # the attempt still counts, drift and all
+    sys_ = parse_system(DECAY)
+    flow = flow_conservation(sys_.matrix, sys_.hamiltonian, [], scales=(1.0,))
     assert flow.completed == 5
     assert flow.aborted == ()
     assert flow.hamiltonian_drift > FLOW_DRIFT_TOL
@@ -300,13 +311,12 @@ def reference_flow(
     scales=(1.0, 0.5, 0.25, 0.125, 0.0625),
     evaluator=split_evaluator,
 ):
-    """flow_conservation as a plain per-step loop over the split forms.
+    """flow_conservation as a plain loop over the split forms, each attempt by reference_attempt.
 
     The float operations are the ones the generated kernel must reproduce, in
     the same order.  The watchers' coefficients are evaluated with the
     watchers at the start point (a failure ends the attempt at t = 0), the
-    field's next (a failure ends it at t = dt).  An evaluation error, an
-    escape, a non-finite coordinate or a NaN drift ends the attempt.  With
+    field's next (a failure ends it at t = dt).  With
     evaluator=canonical_evaluator it is the loop over the canonical forms.
     """
     symbols = mat.symbols
@@ -316,11 +326,11 @@ def reference_flow(
     watch_coefs, watch = evaluator(watchers, symbols)
     lower = [1e-6 if mat.domain.guarded_positive(v) else -1e6 for v in symbols.variables]
     rng = random.Random(f"flow:{seed}")
-    steps = int(round(t_end / dt))
+    last = len(scales) - 1
     drifts = [0.0] * len(watchers)
     aborted = []
     completed = 0
-    fail = (OverflowError, ZeroDivisionError, ValueError)
+    longest = 0
     for traj in range(trajectories):
         for k, scale in enumerate(scales):
             x = [scale * rng.uniform(1.0, 2.0) for _ in symbols.variables]
@@ -328,57 +338,113 @@ def reference_flow(
             try:
                 wc = watch_coefs(x + pvals)
                 base = watch(x + pvals, wc)
-            except fail:
+            except FLOAT_FAIL:
                 aborted.append((traj, 0.0, scale))
                 continue
             try:
                 fc = field_coefs(x + pvals)
-            except fail:
+            except FLOAT_FAIL:
                 aborted.append((traj, round(dt, 12), scale))
                 continue
-            norm = [1.0 + abs(v) for v in base]
-            trial = [0.0] * len(watchers)
-            survived = True
-            for step in range(steps):
-                try:
-                    x = _rk4_step(lambda y: field(y + pvals, fc), x, dt)
-                    if not all(lo <= v <= 1e6 for lo, v in zip(lower, x)):
-                        survived = False
-                    else:
-                        now = watch(x + pvals, wc)
-                except fail:
-                    survived = False
-                for i, v in enumerate(now if survived else ()):
-                    d = abs(v - base[i]) / norm[i]
-                    if not d <= trial[i]:
-                        if d != d:
-                            survived = False
-                            break
-                        trial[i] = d
-                if not survived:
-                    aborted.append((traj, round((step + 1) * dt, 12), scale))
-                    break
-            if survived and trial[-1] > FLOW_DRIFT_TOL and k < len(scales) - 1:
-                aborted.append((traj, round(steps * dt, 12), scale))
+            t, steps, trial = reference_attempt(
+                lambda y: field(y + pvals, fc),
+                lambda y: watch(y + pvals, wc),
+                base,
+                lower,
+                x,
+                dt,
+                t_end,
+                k == last,
+            )
+            if trial is None:
+                aborted.append((traj, round(t, 12), scale))
                 continue
-            if survived:
-                completed += 1
-                for i, d in enumerate(trial):
-                    if d > drifts[i]:
-                        drifts[i] = d
-                break
+            if trial[-1] > FLOW_DRIFT_TOL and k < last:
+                aborted.append((traj, round(t_end, 12), scale))
+                continue
+            completed += 1
+            longest = max(longest, steps)
+            drifts = [max(d, v) for d, v in zip(drifts, trial)]
+            break
     return FlowResult(
         invariant_drifts=tuple(drifts[: len(invariants)]),
         hamiltonian_drift=drifts[-1],
         trajectories=trajectories,
-        steps_per_trajectory=steps,
+        steps_per_trajectory=longest,
         completed=completed,
         aborted=tuple(aborted),
     )
 
 
-def _rk4_step(f, x, h):
-    k1 = f(x)
+FLOAT_FAIL = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def reference_attempt(f, watch, base, lower, x, dt, t_end, hold):
+    """One attempt by RK4 with Richardson step doubling: (t, accepted steps, drifts or None).
+
+    A step of size h is taken whole and as two halves; the error is the
+    largest |half_i - whole_i| / (15 (1 + |half_i|)), NaN if any is.  Below
+    FLOW_STEP_TOL (or when the step is held) the step is accepted: the
+    midpoint and then the extrapolated state half + (half - whole)/15 pass
+    the guards and the drift check.  The next h is h * 0.9 (tol/err)^(1/5)
+    clamped to [0.2, 4]; below dt the attempt ends, or with hold the step is
+    held at dt and accepted as it comes.
+    """
+    norm = [1.0 + abs(v) for v in base]
+    trial = [0.0] * len(base)
+
+    def fails(y):
+        if not all(lo <= v <= 1e6 for lo, v in zip(lower, y)):
+            return True
+        try:
+            now = watch(y)
+        except FLOAT_FAIL:
+            return True
+        for i, v in enumerate(now):
+            d = abs(v - base[i]) / norm[i]
+            if not d <= trial[i]:
+                if d != d:
+                    return True
+                trial[i] = d
+        return False
+
+    t, h, steps, held = 0.0, dt, 0, False
+    while True:
+        end = h >= t_end - t - 1e-9 * t_end
+        if end:
+            h = t_end - t
+        try:
+            k1 = f(x)
+            mid = _rk4_step(f, x, 0.5 * h, k1)
+        except FLOAT_FAIL:
+            return t + 0.5 * h, steps, None
+        try:
+            half = _rk4_step(f, mid, 0.5 * h, f(mid))
+            whole = _rk4_step(f, x, h, k1)
+        except FLOAT_FAIL:
+            return t + h, steps, None
+        errs = [abs(a - b) / (15.0 * (1.0 + abs(a))) for a, b in zip(half, whole)]
+        err = math.nan if any(q != q for q in errs) else max(errs)
+        if err <= FLOW_STEP_TOL or held:
+            if fails(mid):
+                return t + 0.5 * h, steps, None
+            x = [a + (a - b) / 15.0 for a, b in zip(half, whole)]
+            if fails(x):
+                return t + h, steps, None
+            steps += 1
+            if end:
+                return t_end, steps, trial
+            t = t + h
+        # max(0.2, nan) is 0.2: a NaN error shrinks the step as far as it can
+        h = h * min(4.0, max(0.2, 0.9 * (FLOW_STEP_TOL / err) ** 0.2 if err else 4.0))
+        held = h < dt
+        if held:
+            if not hold:
+                return t, steps, None
+            h = dt
+
+
+def _rk4_step(f, x, h, k1):
     k2 = f([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
     k3 = f([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
     k4 = f([xi + h * ki for xi, ki in zip(x, k3)])
@@ -412,24 +478,58 @@ def test_flow_matches_reference_loop_on_random_hamiltonians(name):
 
 
 def test_flow_matches_reference_loop_through_drift_retries():
-    sys_ = load_fixture("so3")
-    inv = [sys_.expect.casimirs[1][0]]
-    args = (sys_.matrix, sys_.hamiltonian, inv)
-    flow = flow_conservation(*args, dt=0.25, t_end=2.0)
-    assert any(t == 2.0 for _traj, t, _scale in flow.aborted)
-    assert flow == reference_flow(*args, dt=0.25, t_end=2.0)
+    sys_ = parse_system(DECAY)
+    args = (sys_.matrix, sys_.hamiltonian, [parse("y", sys_.symbols)])
+    flow = flow_conservation(*args)
+    assert any(t == 1.0 for _traj, t, _scale in flow.aborted)
+    assert flow == reference_flow(*args)
 
 
 def test_flow_matches_reference_loop_through_blow_up():
     # x' = x^2 blows up at t = 1/x0, inside the window at unit scale.  One
     # RK4 step from |x| <= 1e6 stays far below float overflow, so each of
     # these attempts ends by the 1e6 escape
-    sys_ = parse_system("system blow\nvars x y\nJ[1][2] = x^2\nH = y\n")
+    sys_ = parse_system(BLOW)
     args = (sys_.matrix, sys_.hamiltonian, [])
     flow = flow_conservation(*args)
     assert flow.completed == 5
     assert {traj for traj, _t, scale in flow.aborted if scale == 1.0} == set(range(5))
     assert flow == reference_flow(*args)
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-3, 1.0), (0.01, 3.0), (0.25, 2.0)])
+def test_flow_attempts_take_at_most_t_end_over_dt_steps(dt, t_end):
+    # every accepted step but the last is at least dt long, so no attempt,
+    # completed or cut short, held or not, goes past the fixed-step budget
+    budget = round(t_end / dt)
+    lv3 = load_fixture("lv3-j1")
+    cases = [(parse_system(text), []) for text in (FAST, BLOW, DECAY)]
+    cases.append((lv3, [e for e, _tag in lv3.expect.casimirs.values()]))
+    rng = random.Random(0)
+    for sys_, inv in cases:
+        symbols = sys_.symbols
+        domain = sys_.matrix.domain
+        guarded = [i for i, v in enumerate(symbols.variables) if domain.guarded_positive(v)]
+        field = bracket_components(sys_.matrix, sys_.hamiltonian)
+        run = _rk4_kernel(field, inv + [sys_.hamiltonian], symbols, guarded)
+        for hold in (False, True):
+            for _ in range(5):
+                values = [rng.uniform(1.0, 2.0) for _ in symbols.all_symbols()]
+                _t, steps, _drifts = run(*values, dt, t_end, hold)
+                assert steps <= budget, (symbols.variables, hold, steps)
+
+
+def test_flow_holds_an_unresolved_step_at_dt_on_the_last_scale():
+    # every step of the fast rotation is held at dt, and the held steps meet
+    # the budget of 1000 exactly, with no sliver of a step past it
+    sys_ = parse_system(FAST)
+    flow = flow_conservation(sys_.matrix, sys_.hamiltonian, [], scales=(1.0,))
+    assert flow.completed == 5
+    assert flow.steps_per_trajectory == 1000
+    assert flow == reference_flow(sys_.matrix, sys_.hamiltonian, [], scales=(1.0,))
+    # on any other scale the first step already asks for less than dt
+    flow = flow_conservation(sys_.matrix, sys_.hamiltonian, [], scales=(1.0, 0.5))
+    assert [(t, scale) for _traj, t, scale in flow.aborted] == [(0.0, 1.0)] * 5
 
 
 def test_flow_start_point_outside_a_watcher_domain_aborts_at_t0():
@@ -458,33 +558,37 @@ def test_flow_undefined_field_coefficient_aborts_at_the_first_step(watched):
 
 def test_flow_field_number_past_the_float_range_aborts_at_the_first_step():
     # x' = 10^400 has no float; the kernel keeps the exact literal, so the
-    # first step overflows and ends the attempt instead of the build raising
+    # first step overflows and ends the attempt instead of the build raising.
+    # The failure is on the way to the first half point, t = dt/2
     sys_ = parse_system("system wide\nvars x y z\nJ[1][2] = 10^400\nH = x + y\n")
     flow = flow_conservation(sys_.matrix, sys_.hamiltonian, [parse("z", sys_.symbols)])
     assert flow.completed == 0
-    assert {t for _traj, t, _scale in flow.aborted} == {0.001}
+    assert {t for _traj, t, _scale in flow.aborted} == {0.0005}
 
 
 def test_flow_nan_state_fails_the_check():
     # x' = 1e300*y overflows in the first stage and the state turns NaN.  NaN
-    # compares False with everything, so it must be rejected explicitly
+    # compares False with everything, so it must be rejected explicitly.  The
+    # NaN step error asks for a step below dt, which ends the attempt at t = 0;
+    # on the last scale the step is held at dt and its NaN midpoint ends it
     sys_ = parse_system("system huge\nvars x y\nJ[1][2] = 10^300\nH = 1/2*x^2 + 1/2*y^2\n")
     args = (sys_.matrix, sys_.hamiltonian, [])
     flow = flow_conservation(*args)
     assert flow.completed == 0
-    assert {t for _traj, t, _scale in flow.aborted} == {0.001}
+    ends = {(t, scale == 0.0625) for _traj, t, scale in flow.aborted}
+    assert ends == {(0.0, False), (0.0005, True)}
     assert flow == reference_flow(*args)
 
 
 def test_flow_nan_drift_ends_the_attempt():
     # the state stays finite while the watched 1e308*(q^2 - p^2) overflows
     # at unit scale: inf - inf is NaN, which compares False with everything,
-    # so the drift check must end the attempt itself
+    # so the drift check must end the attempt itself, at the first half point
     sys_ = load_fixture("symplectic2")
     inv = [parse("10^308*q^2 - 10^308*p^2", sys_.symbols)]
     args = (sys_.matrix, sys_.hamiltonian, inv)
     flow = flow_conservation(*args)
-    assert (0, 0.001, 1.0) in flow.aborted
+    assert (0, 0.0005, 1.0) in flow.aborted
     assert flow == reference_flow(*args)
 
 
@@ -512,11 +616,13 @@ def test_fixture_kernels_do_no_parameter_arithmetic_per_step(name):
     symbols = sys_.symbols
     watchers = [e for e, _tag in sys_.expect.casimirs.values()] + [sys_.hamiltonian]
     src = _rk4_source(bracket_components(sys_.matrix, sys_.hamiltonian), watchers, symbols, [])
-    loop = src[src.index("for _i in range(_n):") :]
+    loop = src[src.index("while True:") :]
     params = {f"_s{symbols.n + j}" for j in range(len(symbols.parameters))}
     assert not params & set(re.findall(r"_s\d+", loop))
-    # no division in the step either: every denominator is parameter-only
-    assert "/" not in loop.replace("_h6", "").replace("/ _m", "")
+    # no division in the field or the watchers either: every denominator is parameter-only
+    evaluated = [line for line in loop.splitlines() if re.match(r" *_(k\d+_|v)\d+ = ", line)]
+    assert evaluated
+    assert not any("/" in line for line in evaluated)
 
 
 SPLIT_SYSTEMS = {
