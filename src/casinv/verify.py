@@ -12,9 +12,8 @@ the solver that produced the candidate:
   the extrapolated value is kept.  The CLI's flow check runs the system's
   own Hamiltonian; the tests also run random polynomial ones.  Each flow
   check generates one Python kernel that runs a whole attempt over local
-  floats.  The
-  kernel splits every field component and watched function into
-  coefficients and variable parts: the coefficients, all the parameter
+  floats.  The kernel splits every field component and watched function
+  into coefficients and variable parts: the coefficients, all the parameter
   arithmetic, are computed once per attempt, and each step does only the
   variable arithmetic, with each ln of a variable argument taken once per
   stage.
@@ -219,8 +218,8 @@ def flow_conservation(
     Each step is taken whole and as two halves; their difference estimates
     the local error relative to 1 + |x_i|, which must stay within
     FLOW_STEP_TOL, and the next step size follows from it.  dt is the first
-    step and the smallest: no attempt takes more than t_end/dt accepted
-    steps.  Initial variable and parameter values are drawn uniformly from
+    step and the smallest: no attempt takes more than ceil(t_end/dt)
+    accepted steps.  Initial variable and parameter values are drawn uniformly from
     the box scale * [1, 2].  Quadratic and cubic brackets can blow up in
     finite time at unit scale, where the step would have to shrink without
     bound, so each trajectory backs off down the scale ladder until the

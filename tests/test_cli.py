@@ -346,7 +346,7 @@ def test_flow_retries_unresolved_hamiltonian_drift(tmp_path, capsys):
 def test_flow_leaving_the_domain_aborts_the_attempt(tmp_path, capsys, h):
     # x' = -1000 drives x below zero within two steps.  With ln(x) in the
     # field a stage point raises a math domain error, which ends the attempt
-    # as overflow does; with 1/x the positivity guard ends it after the step
+    # as overflow does; with 1/x the positivity guard ends it at a half point
     p = tmp_path / "drain.psys"
     p.write_text(f"system drain\nvars x y\ndomain x > 0\ndomain y > 0\nJ[1][2] = 1\nH = {h}\n")
     code, out, err = run(capsys, "all", str(p), "--flow")
@@ -476,7 +476,8 @@ def test_pipeline_does_not_import_numpy(tmp_path):
 
 
 def test_flow_resolves_lv3_j2_seed_20(capsys):
-    # under fixed steps of dt = 1e-3 the exact Casimir drifted 1.9e-5 here
+    # a trajectory here that a fixed step of 1e-3 does not resolve: the exact
+    # Casimir drifts 1.9e-5 under it while H drifts less than FLOW_DRIFT_TOL
     code, _, _ = run(capsys, "all", "lv3-j2", "--seed", "20", "--flow")
     assert code == 0
 

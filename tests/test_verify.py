@@ -486,15 +486,19 @@ def test_flow_matches_reference_loop_through_drift_retries():
 
 
 def test_flow_matches_reference_loop_through_blow_up():
-    # x' = x^2 blows up at t = 1/x0, inside the window at unit scale.  One
-    # RK4 step from |x| <= 1e6 stays far below float overflow, so each of
-    # these attempts ends by the 1e6 escape
+    # x' = x^2 blows up at t = 1/x0, inside the window at unit scale, where
+    # the controller asks for a step below dt and cuts each attempt short
     sys_ = parse_system(BLOW)
     args = (sys_.matrix, sys_.hamiltonian, [])
     flow = flow_conservation(*args)
     assert flow.completed == 5
     assert {traj for traj, _t, scale in flow.aborted if scale == 1.0} == set(range(5))
     assert flow == reference_flow(*args)
+    # held at dt on the only scale, the steps run on until the 1e6 escape; one
+    # RK4 step from |x| <= 1e6 stays far below float overflow
+    flow = flow_conservation(*args, scales=(1.0,))
+    assert flow.completed == 0
+    assert flow == reference_flow(*args, scales=(1.0,))
 
 
 @pytest.mark.parametrize("dt, t_end", [(1e-3, 1.0), (0.01, 3.0), (0.25, 2.0)])
