@@ -300,6 +300,9 @@ def canonical_evaluator(exprs, symbols):
     return (lambda values: []), (lambda values, cv: f(*values))
 
 
+FLOAT_FAIL = (OverflowError, ZeroDivisionError, ValueError)
+
+
 def reference_flow(
     mat,
     hamiltonian,
@@ -374,9 +377,6 @@ def reference_flow(
         completed=completed,
         aborted=tuple(aborted),
     )
-
-
-FLOAT_FAIL = (OverflowError, ZeroDivisionError, ValueError)
 
 
 def reference_attempt(f, watch, base, lower, x, dt, t_end, hold):
