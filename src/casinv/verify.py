@@ -7,16 +7,11 @@ the solver that produced the candidate:
 * numeric residuals: the same components sampled at random points,
 * dynamic: RK4 trajectories of x' = J * grad(H) must hold C constant to
   tight drift.  The step size is controlled by Richardson step doubling
-  (Hairer, Norsett & Wanner, Solving ODEs I, II.4): each step is taken
-  whole and as two halves, their difference bounds the local error, and
-  the extrapolated value is kept.  The CLI's flow check runs the system's
-  own Hamiltonian; the tests also run random polynomial ones.  Each flow
-  check generates one Python kernel that runs a whole attempt over local
-  floats.  The kernel splits every field component and watched function
-  into coefficients and variable parts: the coefficients, all the parameter
-  arithmetic, are computed once per attempt, and each step does only the
-  variable arithmetic, with each ln of a variable argument taken once per
-  stage.
+  (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The CLI's flow check
+  runs the system's own Hamiltonian; the tests also run random polynomial
+  ones.  A plain loop runs each attempt over a few straight-line functions
+  generated once per check, which split the field and the watched functions
+  into coefficients, computed once per attempt, and variable parts.
 
 The sampled gradient-rank vote lives here too, as a public check that
 shares nothing with the solver: integrate_all proves independence from the
@@ -30,6 +25,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .expr import (
     Domain,
@@ -68,6 +64,8 @@ __all__ = [
 FLOW_DRIFT_TOL = 1e-6
 # the local error a flow step may make, relative to 1 + |x_i|
 FLOW_STEP_TOL = 1e-3 * FLOW_DRIFT_TOL
+# what a float evaluation raises where it leaves its domain
+_FLOAT_FAIL = (OverflowError, ZeroDivisionError, ValueError)
 
 
 class VerificationError(Exception):
@@ -218,38 +216,34 @@ def flow_conservation(
     Each step is taken whole and as two halves; their difference estimates
     the local error relative to 1 + |x_i|, which must stay within
     FLOW_STEP_TOL, and the next step size follows from it.  dt is the first
-    step and the smallest: no attempt takes more than ceil(t_end/dt)
-    accepted steps.  Initial variable and parameter values are drawn uniformly from
-    the box scale * [1, 2].  Quadratic and cubic brackets can blow up in
-    finite time at unit scale, where the step would have to shrink without
-    bound, so each trajectory backs off down the scale ladder until the
-    whole window [0, t_end] completes: an attempt is abandoned when its
-    step would drop below dt, a declared-positive variable dips below 1e-6,
-    any coordinate escapes past 1e6 or stops being finite, a drift is NaN,
-    or a step leaves the domain of the field or a watched function
-    (overflow, division by zero, ln of a non-positive value); the time of
-    the state that failed is recorded.  The attempts run in one kernel from
-    _rk4_kernel, compiled once per call.  An attempt that completes with the
-    Hamiltonian drifting by more than FLOW_DRIFT_TOL is retried the same
-    way: H is conserved by construction, so that drift is integrator error,
-    not evidence against any invariant.  The last scale is judged as it
-    comes: there a step that asks for less than dt is held at dt and
-    accepted whatever its error.  Conservation is scale-free, so drift over
-    a completed window at a resolvable scale is the honest measurement.
-    Drift is |f(x_t) - f(x_0)| scaled by 1 + |f(x_0)|, maximized over both
-    half points of every accepted step and over completed trajectories.
-    steps_per_trajectory is the most accepted steps a completed trajectory
-    took.
+    step and the smallest, so no attempt takes more than ceil(t_end/dt)
+    accepted steps; dt and t_end must be finite and positive (ValueError).
+    Initial variable and parameter values are drawn uniformly from the box
+    scale * [1, 2].  Quadratic and cubic brackets can blow up in finite time
+    at unit scale, where the step would have to shrink without bound, so
+    each trajectory backs off down the scale ladder until the whole window
+    [0, t_end] completes: an attempt is abandoned when its step would drop
+    below dt, a declared-positive variable dips below 1e-6, any coordinate
+    escapes past 1e6 or stops being finite, a drift is NaN, or a step leaves
+    the domain of the field or a watched function (overflow, division by
+    zero, ln of a non-positive value); the time of the state that failed is
+    recorded.  An attempt that completes with the Hamiltonian drifting by
+    more than FLOW_DRIFT_TOL is retried the same way: H is conserved by
+    construction, so that drift is integrator error, not evidence against
+    any invariant.  The last scale is judged as it comes: there a step that
+    asks for less than dt is held at dt and accepted whatever its error.
+    Conservation is scale-free, so drift over a completed window at a
+    resolvable scale is the honest measurement.  Drift is |f(x_t) - f(x_0)|
+    scaled by 1 + |f(x_0)|, maximized over both half points of every
+    accepted step and over completed trajectories.  steps_per_trajectory is
+    the most accepted steps a completed trajectory took.
     """
+    if not (0.0 < dt < math.inf and 0.0 < t_end < math.inf):
+        raise ValueError(f"dt and t_end must be finite and positive, got {dt!r} and {t_end!r}")
     symbols = mat.symbols
     invariants = list(invariants)
     watchers = invariants + [hamiltonian]
-    guarded = [
-        idx
-        for idx, v in enumerate(symbols.variables)
-        if mat.domain.guarded_positive(v)
-    ]
-    run = _rk4_kernel(bracket_components(mat, hamiltonian), watchers, symbols, guarded)
+    functions = _flow_functions(mat, hamiltonian, watchers)
     rng = random.Random(f"flow:{seed}")
     last = len(scales) - 1
     drifts = [0.0] * len(watchers)
@@ -261,7 +255,7 @@ def flow_conservation(
         for k, scale in enumerate(scales):
             x = [scale * rng.uniform(1.0, 2.0) for _ in symbols.variables]
             pvals = [scale * rng.uniform(1.0, 2.0) for _ in symbols.parameters]
-            t, steps, trial = run(*x, *pvals, dt, t_end, k == last)
+            t, steps, trial = _attempt(functions, x, pvals, dt, t_end, k == last)
             if trial is None:
                 aborted.append((traj, round(t, 12), scale))
                 continue
@@ -280,6 +274,73 @@ def flow_conservation(
         completed=completed,
         aborted=tuple(aborted),
     )
+
+
+def _attempt(functions, x, pvals, dt, t_end, hold) -> tuple:
+    """One attempt from x: (t, accepted steps, drifts or None), see flow_conservation.
+
+    An evaluation failing in a step's first half ends the attempt at t + h/2,
+    one in the rest at t + h; an accepted step checks the midpoint (t + h/2)
+    and then the extrapolated state (t + h).  The start point is not guarded:
+    its watchers failing give t = 0, and a field coefficient failing t = dt.
+    """
+    watching, moving, double = functions
+    try:
+        drifts, trial = watching(x, *pvals)
+    except _FLOAT_FAIL:
+        return 0.0, 0, None
+    try:
+        field, step = moving(*pvals)
+    except _FLOAT_FAIL:
+        return dt, 0, None
+
+    def fails(y):
+        try:
+            inside, now = drifts(y)
+        except _FLOAT_FAIL:
+            return True
+        for i, d in enumerate(now):
+            if not d <= trial[i]:
+                if d != d:
+                    return True
+                trial[i] = d
+        # a failed attempt's drifts are dropped, so the guards may come last
+        return not inside
+
+    t, h, steps, held = 0.0, dt, 0, False
+    while True:
+        end = h >= t_end - t - 1e-9 * t_end
+        if end:
+            h = t_end - t
+        try:
+            k1 = field(x)
+            mid = step(x, k1, 0.5 * h)
+        except _FLOAT_FAIL:
+            return t + 0.5 * h, steps, None
+        try:
+            half = step(mid, field(mid), 0.5 * h)
+            whole = step(x, k1, h)
+        except _FLOAT_FAIL:
+            return t + h, steps, None
+        err, extrapolated = double(half, whole)
+        if err <= FLOW_STEP_TOL or held:
+            if fails(mid):
+                return t + 0.5 * h, steps, None
+            x = extrapolated
+            if fails(x):
+                return t + h, steps, None
+            steps += 1
+            if end:
+                return t_end, steps, trial
+            t = t + h
+        f = 0.9 * (FLOW_STEP_TOL / err) ** 0.2 if err else 4.0
+        # a NaN error shrinks the step as far as it can
+        h = h * (0.2 if not f >= 0.2 else 4.0 if f > 4.0 else f)
+        held = h < dt
+        if held:
+            if not hold:
+                return t, steps, None
+            h = dt
 
 
 def _split(e: Expr, variables) -> tuple:
@@ -312,91 +373,56 @@ def _split(e: Expr, variables) -> tuple:
     return [(_from_poly(c), m) for c, m in num], [(_from_poly(d), m) for d, m in den]
 
 
-def _rk4_kernel(field, watchers, symbols: VariableSet, guarded):
-    """One flow attempt compiled from _rk4_source.
-
-    `_run(*values, dt, t_end, hold) -> (t, steps, drifts)`.
-    """
-    ns = {"log": math.log, "_FAIL": (OverflowError, ZeroDivisionError, ValueError)}
-    exec(_rk4_source(field, watchers, symbols, guarded), ns)
-    return ns["_run"]
+def _flow_functions(mat: StructureMatrix, hamiltonian: Expr, watchers) -> tuple:
+    """(watching, moving, double) for x' = J grad(H), compiled from _flow_source."""
+    lower = [1e-6 if mat.domain.guarded_positive(v) else -1e6 for v in mat.symbols.variables]
+    ns = {"log": math.log}
+    exec(_flow_source(bracket_components(mat, hamiltonian), watchers, mat.symbols, lower), ns)
+    return ns["_watching"], ns["_moving"], ns["_double"]
 
 
-def _rk4_source(field, watchers, symbols: VariableSet, guarded) -> str:
-    """Source of one flow attempt, `_run(*values, dt, t_end, hold) -> (t, steps, drifts)`.
+def _flow_source(field, watchers, symbols: VariableSet, lower) -> str:
+    """Source of the straight-line functions of one flow check; states are tuples.
 
-    `_run` takes the start point and the parameters in symbols.all_symbols()
-    order, then integrates x' = field over [0, t_end] by RK4 with Richardson
-    step doubling (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A step
-    of size H starts as dt; it is taken once whole (w) and twice as H/2
-    (through the midpoint a, to e), the whole step and the first half sharing
-    their first stage.  Its error is err = max_i |e_i - w_i| / (15 (1 +
-    |e_i|)), NaN if any term is.  A step with err <= FLOW_STEP_TOL is
-    accepted and the state becomes e + (e - w)/15, the locally extrapolated
-    value.  Accepted or not, the next H is H times 0.9 (tol/err)^(1/5)
-    clamped to [0.2, 4] (0.2 for a NaN err, 4 for a zero one), shortened to
-    land on t_end.  dt is the floor: when H drops below it the attempt is cut
-    short at the time reached, unless hold is true; then H is held at dt and
-    the next step is accepted whatever its error.  Every step but the last is
-    at least dt long, so an attempt takes at most ceil(t_end/dt) accepted
-    steps.
+    * `_watching(x0, *params) -> (_drifts, zeros)`: `_drifts(x)` is whether
+      every x_i lies in [lower_i, 1e6], and each watcher's drift
+      |w(x) - w(x0)| / (1 + |w(x0)|); zeros is a new list of the drifts at x0.
+    * `_moving(*params) -> (_field, _step)`: `_step(x, k, h)` is one RK4 step
+      of size h from x, whose first stage k = _field(x) is given.
+    * `_double(e, w) -> (err, extrapolated)` for a step taken as two halves (e)
+      and whole (w): err is max_i |e_i - w_i| / (15 (1 + |e_i|)), NaN when a
+      term is NaN or infinite (the controller takes both alike), and
+      extrapolated is e + (e - w)/15.
 
-    At both half points a and the new state of an accepted step the kernel
-    applies the abort guards (a guarded variable below 1e-6, any coordinate
-    past 1e6 or not finite) and tracks each watcher's drift
-    |w(x_t) - w(x_0)| / (1 + |w(x_0)|).  It returns (t_end, steps, drifts)
-    for a completed window and (t, steps, None) for an attempt that ends at
-    time t: by the step floor, by a guard, by a drift that is NaN, or by an
-    evaluation that overflows, divides by zero or leaves log's domain.  A
-    state's failure reports its own time; an evaluation failure inside a
-    step reports the half point it was computing toward.  t = 0 when the
-    watchers fail at the start point, and t = dt when a coefficient only the
-    field uses fails.
-
-    The kernel is specialised to each attempt's parameters.  Every field
-    component and watcher is written through _split as sums over variable
-    parts, and each distinct coefficient that is not a number gets one local
-    (_c0, _c1, ...), computed once per attempt, up to sign; numbers are
-    inlined and +-1 dropped.  So a step does no parameter arithmetic, except
-    inside an ln argument that mixes variables and parameters, and no
-    division unless a denominator has a variable part.  Within a stage, and
-    across the watchers, each ln atom with a variable argument is computed
-    once (_l0, _l1, ...).  A square is written f*f, so an overflow there
-    gives inf, which the guards catch at the same point, where pow raised.
-    The body is straight-line code over locals, one name per coordinate and
-    stage.  Generated names all start with `_`,
-    which no system identifier can, so no symbol shadows them.
+    The factories run once per attempt.  Expressions are written through
+    _split, each distinct coefficient that is not a number computed once by
+    its factory (_c0, _c1, ...), up to sign; numbers are inlined and +-1
+    dropped.  So an evaluation does no parameter arithmetic outside an ln
+    argument that mixes variables and parameters, and takes each ln atom of a
+    variable argument once (_l0, _l1, ...).  A square is written f*f: its
+    overflow gives inf, which the guards catch where pow raised.  Generated
+    names start with `_`, which no system identifier can, so none shadows.
     """
     n = symbols.n
-    xs = [f"_s{i}" for i in range(n)]
+    xs = [f"_x{i}" for i in range(n)]
     ys = [f"_y{i}" for i in range(n)]
-    ps = [f"_s{n + j}" for j in range(len(symbols.parameters))]
-    params = dict(zip(symbols.parameters, ps))
+    params = {p: f"_p{j}" for j, p in enumerate(symbols.parameters)}
     variables = set(symbols.variables)
-    coefs: dict = {}  # coefficient with a positive leading term -> its local
-    hoisted = []  # the lines computing them, in order of first use
-    written: dict = {}  # coefficient -> (negative, source)
 
-    def coef(c: Expr):
-        """(negative, source), source None for a unit coefficient."""
-        if c in written:
-            return written[c]
-        if c.is_constant():
-            v = c.const_value()
-            written[c] = v < 0, None if abs(v) == 1 else _number_source(abs(v))
-            return written[c]
-        negative = c.num.leading()[1] < 0
-        key = -c if negative else c
-        if key not in coefs:
-            coefs[key] = f"_c{len(coefs)}"
-            hoisted.append(f"{coefs[key]} = {python_source(key, params)}")
-        written[c] = negative, coefs[key]
-        return written[c]
-
-    def emit(splits, point):
-        """Lines computing the shared ln atoms at point, and each split expression's source."""
+    def evaluate(exprs, point) -> tuple:
+        """(coefficient lines, ln atom lines, source of each expression) at point."""
+        coefs: dict = {}  # coefficient with a positive leading term -> its local
         names = dict(zip(symbols.variables, point))
         atoms: dict = {}
+
+        @cache
+        def coef(c: Expr):
+            """(negative, source), source None for a unit coefficient."""
+            if c.is_constant():
+                v = c.const_value()
+                return v < 0, None if abs(v) == 1 else _number_source(abs(v))
+            negative = c.num.leading()[1] < 0
+            return negative, coefs.setdefault(-c if negative else c, f"_c{len(coefs)}")
 
         def total(terms):
             out = []
@@ -411,112 +437,53 @@ def _rk4_source(field, watchers, symbols: VariableSet, guarded) -> str:
                 out.append(f"{sign}{body}" if k == 0 else f" {sign} {body}")
             return "".join(out) or "0.0"
 
-        srcs = [
-            total(num) if den is None else f"({total(num)})/({total(den)})" for num, den in splits
-        ]
+        srcs = []
+        for e in exprs:
+            num, den = _split(e, variables)
+            srcs.append(total(num) if den is None else f"({total(num)})/({total(den)})")
         py = {**names, **params}
-        lines = [f"{name} = log({python_source(a.arg, py)})" for a, name in atoms.items()]
-        return lines, srcs
+        hoisted = [f"{name} = {python_source(c, params)}" for c, name in coefs.items()]
+        logs = [f"{name} = log({python_source(a.arg, py)})" for a, name in atoms.items()]
+        return hoisted, logs, srcs
+
+    def define(head, unpack, body, returned):
+        """Lines of `def head`: unpack each (tuple, locals) pair, run body, return returned."""
+        lines = [f"def {head}:"]
+        lines += [f"    {', '.join(names)}, = {arg}" for arg, names in unpack]
+        return lines + ["    " + line for line in body] + [f"    return {returned}"]
+
+    def tup(items):
+        return f"({', '.join(items)},)"
 
     m = len(watchers)
-    watched = [_split(e, variables) for e in watchers]
-    moved = [_split(e, variables) for e in field]
-    base_logs, base = emit(watched, xs)
-    watcher_coefs = len(hoisted)  # emitted first; the rest only the field uses
+    hoisted, logs, srcs = evaluate(watchers, xs)
+    base = logs + [f"_b{j} = {src}" for j, src in enumerate(srcs)]
+    base += [f"_m{j} = 1.0 + abs(_b{j})" for j in range(m)]
+    now = logs + [f"_v{j} = {src}" for j, src in enumerate(srcs)]
+    inside = " and ".join(f"{lo!r} <= {x} <= 1e6" for lo, x in zip(lower, xs))
+    drifts = tup(f"abs(_v{j} - _b{j}) / _m{j}" for j in range(m))
+    drifts_fn = define("_drifts(_x)", [("_x", xs)], now, f"{inside}, {drifts}")
+    head = f"_watching({', '.join(['_x', *params.values()])})"
+    zeros = f"[{', '.join(['0.0'] * m)}]"
+    watching = define(head, [("_x", xs)], hoisted + base + drifts_fn, f"_drifts, {zeros}")
 
-    def stage(k, point):
-        """Lines evaluating the field at point into _k{k}_0, _k{k}_1, ..."""
-        lines, srcs = emit(moved, point)
-        return lines + [f"_k{k}_{i} = {src}" for i, src in enumerate(srcs)]
+    hoisted, logs, srcs = evaluate(field, ys)
+    ks = [[f"_k{k}_{i}" for i in range(n)] for k in range(1, 5)]
+    stages = [logs + [f"{k} = {src}" for k, src in zip(out, srcs)] for out in ks]
+    field_fn = define("_field(_x)", [("_x", ys)], stages[0], tup(ks[0]))
+    body = ["_hh = 0.5 * _h"]
+    for prev, stage, lead in zip(ks, stages[1:], ("_hh", "_hh", "_h")):
+        body += [f"{y} = {x} + {lead} * {k}" for y, x, k in zip(ys, xs, prev)]
+        body += stage
+    body.append("_h6 = _h / 6.0")
+    new = [f"{x} + _h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for x, a, b, c, d in zip(xs, *ks)]
+    step_fn = define("_step(_x, _k, _h)", [("_x", xs), ("_k", ks[0])], body, tup(new))
+    head = f"_moving({', '.join(params.values())})"
+    moving = define(head, [], hoisted + field_fn + step_fn, "_field, _step")
 
-    def step(start, ks, half, h, h6, out):
-        """RK4 of size h from start, its first stage _k{ks[0]} already computed, into out."""
-        lines = []
-        for prev, k, lead in zip(ks, ks[1:], (half, half, h)):
-            lines += [f"_y{i} = {start}{i} + {lead} * _k{prev}_{i}" for i in range(n)]
-            lines += stage(k, ys)
-        a, b, c, d = (f"_k{k}_" for k in ks)
-        lines += [
-            f"{out}{i} = {start}{i} + {h6} * ({a}{i} + 2.0 * {b}{i} + 2.0 * {c}{i} + {d}{i})"
-            for i in range(n)
-        ]
-        return lines
-
-    def check(point, when):
-        """Lines applying the guards and the watchers' drift at point; a failure returns when."""
-        fail = f"return {when}, _n, None"
-        # chained comparisons are False for NaN, so a non-finite coordinate escapes too
-        inside = [f"{'1e-6' if i in guarded else '-1e6'} <= {point}{i} <= 1e6" for i in range(n)]
-        lines = [f"if not ({' and '.join(inside)}):", f"    {fail}", "try:"]
-        logs, now = emit(watched, [f"{point}{i}" for i in range(n)])
-        lines += ["    " + line for line in logs]
-        lines += [f"    _v{j} = {src}" for j, src in enumerate(now)]
-        lines += ["except _FAIL:", f"    {fail}"]
-        for j in range(m):
-            lines += [
-                f"_d = abs(_v{j} - _b{j}) / _m{j}",
-                f"if not _d <= _t{j}:",
-                "    if _d != _d:",
-                f"        {fail}",
-                f"    _t{j} = _d",
-            ]
-        return lines
-
-    first_half = stage(1, xs) + step("_s", (1, 2, 3, 4), "_hq", "_hh", "_hh6", "_a")
-    second_half = stage(5, [f"_a{i}" for i in range(n)])
-    second_half += step("_a", (5, 6, 7, 8), "_hq", "_hh", "_hh6", "_e")
-    whole = step("_s", (1, 9, 10, 11), "_hh", "_H", "_h6", "_w")
-    error = [f"_err = abs(_e0 - _w0) / (15.0 * (1.0 + abs(_e0)))"]
-    for i in range(1, n):
-        error += [
-            f"_q = abs(_e{i} - _w{i}) / (15.0 * (1.0 + abs(_e{i})))",
-            "if _q > _err or _q != _q:",
-            "    _err = _q",
-        ]
-
-    body = ["try:"]
-    body += ["    " + line for line in hoisted[:watcher_coefs] + base_logs]
-    body += [f"    _b{j} = {src}" for j, src in enumerate(base)]
-    body += ["except _FAIL:", "    return 0.0, 0, None"]
-    if hoisted[watcher_coefs:]:
-        body += ["try:", *("    " + line for line in hoisted[watcher_coefs:])]
-        body += ["except _FAIL:", "    return _dt, 0, None"]
-    body += [f"_m{j} = 1.0 + abs(_b{j})" for j in range(m)]
-    body += [f"_t{j} = 0.0" for j in range(m)]
-    body += ["_now = 0.0", "_H = _dt", "_n = 0", "_held = False", "while True:"]
-    loop = [
-        "_end = _H >= _T - _now - 1e-9 * _T",
-        "if _end:",
-        "    _H = _T - _now",
-        "_hh = 0.5 * _H",
-        "_hq = 0.5 * _hh",
-        "_h6 = _H / 6.0",
-        "_hh6 = _hh / 6.0",
-        "try:",
-        *("    " + line for line in first_half),
-        "except _FAIL:",
-        "    return _now + _hh, _n, None",
-        "try:",
-        *("    " + line for line in second_half + whole),
-        "except _FAIL:",
-        "    return _now + _H, _n, None",
-        *error,
-        f"if _err <= {FLOW_STEP_TOL!r} or _held:",
-        *("    " + line for line in check("_a", "_now + _hh")),
-        *(f"    _s{i} = _e{i} + (_e{i} - _w{i}) / 15.0" for i in range(n)),
-        *("    " + line for line in check("_s", "_now + _H")),
-        "    _n += 1",
-        "    if _end:",
-        f"        return _T, _n, ({', '.join(f'_t{j}' for j in range(m))},)",
-        "    _now = _now + _H",
-        f"_f = 0.9 * ({FLOW_STEP_TOL!r} / _err) ** 0.2 if _err else 4.0",
-        "_H = _H * (0.2 if not _f >= 0.2 else 4.0 if _f > 4.0 else _f)",
-        "_held = _H < _dt",
-        "if _held:",
-        "    if not _hold:",
-        "        return _now, _n, None",
-        "    _H = _dt",
-    ]
-    body += ["    " + line for line in loop]
-    head = f"def _run({', '.join(xs + ps)}, _dt, _T, _hold):\n"
-    return head + "\n".join("    " + line for line in body)
+    es, ws, qs = ([f"_{c}{i}" for i in range(n)] for c in "ewq")
+    errs = [f"{q} = abs({e} - {w}) / (15.0 * (1.0 + abs({e})))" for q, e, w in zip(qs, es, ws)]
+    err = f"max({', '.join(['0.0', *qs])}) + 0.0 * ({' + '.join(qs)})"
+    extrapolated = tup(f"{e} + ({e} - {w}) / 15.0" for e, w in zip(es, ws))
+    double = define("_double(_e, _w)", [("_e", es), ("_w", ws)], errs, f"{err}, {extrapolated}")
+    return "\n".join(watching + moving + double) + "\n"

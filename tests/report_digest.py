@@ -10,7 +10,7 @@ at both commits.  The line for the current reports is pinned in
 
 The set:
 
-* the 6 bundled fixtures at `--seed 0` to `3` with `--flow`;
+* the 6 bundled fixtures at `--seed 0` to `9` with `--flow`;
 * the pinned systems `tests/systems/*.psys` at `--seed 0` to `3`;
 * the `lie-poisson` systems of `bench/workloads.py` at `--seed 0` to `2`,
   without the so(5)* probe, which runs into the benchmark's time limit;
@@ -50,7 +50,7 @@ def report_argvs(workdir: Path) -> list:
     """Every argv of the set, in a fixed order, without --json."""
     argvs = []
     for name in fixture_names():
-        for seed in range(4):
+        for seed in range(10):
             argvs.append(["all", name, "--seed", str(seed), "--flow"])
     for path in sorted((ROOT / "tests" / "systems").glob("*.psys")):
         for seed in range(4):

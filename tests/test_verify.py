@@ -37,7 +37,7 @@ from casinv.verify import (
     gradient_rank,
     numeric_rank,
 )
-from casinv.verify import _rk4_kernel, _rk4_source, _split
+from casinv.verify import _attempt, _flow_functions, _flow_source, _split
 from gradients import gradients_parallel, random_polynomial_hamiltonian
 
 VS = VariableSet(("x", "y"), ("a",))
@@ -237,14 +237,14 @@ def test_sample_values_skips_singular_points_in_draw_order():
 
 
 def split_evaluator(exprs, symbols):
-    """Float values of exprs through verify._split, in the generated kernel's operations.
+    """Float values of exprs through verify._split, in the generated functions' operations.
 
     Returns (coefficients, at).  coefficients(values) evaluates the
     non-numeric coefficients once, at the start point and parameters;
     at(values, coefs) takes each ln atom of a variable argument once, forms
     each term as its coefficient times its factors, left to right (a square
     as f * f, a higher power with **), and sums the terms left to right.
-    Numeric and +-1 coefficients, which the kernel inlines or drops, enter
+    Numeric and +-1 coefficients, which the generated code inlines or drops, enter
     as floats: multiplying by 1.0 or -1.0 is exact.
     """
     n = symbols.n
@@ -316,7 +316,7 @@ def reference_flow(
 ):
     """flow_conservation as a plain loop over the split forms, each attempt by reference_attempt.
 
-    The float operations are the ones the generated kernel must reproduce, in
+    The float operations are the ones the generated functions must reproduce, in
     the same order.  The watchers' coefficients are evaluated with the
     watchers at the start point (a failure ends the attempt at t = 0), the
     field's next (a failure ends it at t = dt).  With
@@ -512,14 +512,12 @@ def test_flow_attempts_take_at_most_t_end_over_dt_steps(dt, t_end):
     rng = random.Random(0)
     for sys_, inv in cases:
         symbols = sys_.symbols
-        domain = sys_.matrix.domain
-        guarded = [i for i, v in enumerate(symbols.variables) if domain.guarded_positive(v)]
-        field = bracket_components(sys_.matrix, sys_.hamiltonian)
-        run = _rk4_kernel(field, inv + [sys_.hamiltonian], symbols, guarded)
+        functions = _flow_functions(sys_.matrix, sys_.hamiltonian, inv + [sys_.hamiltonian])
         for hold in (False, True):
             for _ in range(5):
                 values = [rng.uniform(1.0, 2.0) for _ in symbols.all_symbols()]
-                _t, steps, _drifts = run(*values, dt, t_end, hold)
+                x, pvals = values[: symbols.n], values[symbols.n :]
+                _t, steps, _drifts = _attempt(functions, x, pvals, dt, t_end, hold)
                 assert steps <= budget, (symbols.variables, hold, steps)
 
 
@@ -536,6 +534,27 @@ def test_flow_holds_an_unresolved_step_at_dt_on_the_last_scale():
     assert [(t, scale) for _traj, t, scale in flow.aborted] == [(0.0, 1.0)] * 5
 
 
+def test_flow_start_point_below_the_guard_aborts_at_the_first_half_point():
+    # x starts in 1e-7 * [1, 2], below the 1e-6 guard of x > 0.  The start
+    # point is not guarded, so each attempt ends at the first midpoint
+    sys_ = parse_system(DECAY)
+    args = (sys_.matrix, sys_.hamiltonian, [])
+    flow = flow_conservation(*args, scales=(1e-7,))
+    assert flow.completed == 0
+    assert [t for _traj, t, _scale in flow.aborted] == [0.0005] * 5
+    assert flow == reference_flow(*args, scales=(1e-7,))
+
+
+@pytest.mark.parametrize(
+    "bad", [{"dt": 0.0}, {"dt": math.nan}, {"t_end": -1.0}], ids=["dt-0", "dt-nan", "t_end-negative"]
+)
+def test_flow_rejects_a_step_or_window_that_is_not_finite_and_positive(bad):
+    # dt = 0 or NaN would never advance t, and a negative t_end would run backwards
+    sys_ = load_fixture("so3")
+    with pytest.raises(ValueError, match="finite and positive"):
+        flow_conservation(sys_.matrix, sys_.hamiltonian, [], **bad)
+
+
 def test_flow_start_point_outside_a_watcher_domain_aborts_at_t0():
     # ln(x1 - 3) is undefined on every start box scale * [1, 2]
     sys_ = load_fixture("so3")
@@ -548,8 +567,8 @@ def test_flow_start_point_outside_a_watcher_domain_aborts_at_t0():
 
 @pytest.mark.parametrize("watched", [[], ["ln(a)*x"]], ids=["field-only", "shared-parameter"])
 def test_flow_undefined_field_coefficient_aborts_at_the_first_step(watched):
-    # x' = ln(a - 3) is undefined for every a in scale * [1, 2].  The kernel
-    # computes that coefficient once per attempt, and its failure still ends
+    # x' = ln(a - 3) is undefined for every a in scale * [1, 2].  The field's
+    # factory computes that coefficient once per attempt, and its failure still ends
     # the attempt where the first field evaluation used to, at t = dt
     sys_ = parse_system("system f\nvars x y\nparams a\nJ[1][2] = ln(a - 3)\nH = y\n")
     inv = [parse(w, sys_.symbols) for w in watched]
@@ -561,7 +580,7 @@ def test_flow_undefined_field_coefficient_aborts_at_the_first_step(watched):
 
 
 def test_flow_field_number_past_the_float_range_aborts_at_the_first_step():
-    # x' = 10^400 has no float; the kernel keeps the exact literal, so the
+    # x' = 10^400 has no float; the generated code keeps the exact literal, so the
     # first step overflows and ends the attempt instead of the build raising.
     # The failure is on the way to the first half point, t = dt/2
     sys_ = parse_system("system wide\nvars x y z\nJ[1][2] = 10^400\nH = x + y\n")
@@ -619,12 +638,16 @@ def test_fixture_kernels_do_no_parameter_arithmetic_per_step(name):
     sys_ = load_fixture(name)
     symbols = sys_.symbols
     watchers = [e for e, _tag in sys_.expect.casimirs.values()] + [sys_.hamiltonian]
-    src = _rk4_source(bracket_components(sys_.matrix, sys_.hamiltonian), watchers, symbols, [])
-    loop = src[src.index("while True:") :]
-    params = {f"_s{symbols.n + j}" for j in range(len(symbols.parameters))}
-    assert not params & set(re.findall(r"_s\d+", loop))
+    field = bracket_components(sys_.matrix, sys_.hamiltonian)
+    src = _flow_source(field, watchers, symbols, [-1e6] * symbols.n)
+    # straight-line code: the loop, the controller and every failure exit are _attempt's
+    assert not re.search(r"\b(while|for|if|else|try|except|raise|return None)\b", src)
+    # what runs per evaluation: all but the factories' heads and their coefficients
+    per_step = re.sub(r"(?m)^(def _(watching|moving)\(.*|    _c\d+ = .*)$", "", src)
+    params = {f"_p{j}" for j in range(len(symbols.parameters))}
+    assert not params & set(re.findall(r"_p\d+", per_step))
     # no division in the field or the watchers either: every denominator is parameter-only
-    evaluated = [line for line in loop.splitlines() if re.match(r" *_(k\d+_|v)\d+ = ", line)]
+    evaluated = [line for line in per_step.splitlines() if re.match(r" *_(k\d+_|v)\d+ = ", line)]
     assert evaluated
     assert not any("/" in line for line in evaluated)
 
@@ -672,7 +695,7 @@ def test_split_reassembles_the_canonical_form(case, seed):
     for e in exprs:
         num, den = _split(e, variables)
         assert (total(num) if den is None else total(num) / total(den)) == e
-        # a parameter-only denominator is divided out when the kernel is built
+        # a parameter-only denominator is divided out when the source is generated
         assert (den is None) == (not (free_symbols(_from_poly(e.den)) & variables))
 
 
