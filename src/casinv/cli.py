@@ -4,8 +4,11 @@ Subcommands walk the pipeline in increasing depth: `validate` checks the
 matrix is a sound input (skew symmetry, Jacobi identity), `rank` finds the
 pivot decomposition, `gamma` the degeneracy relations, `casimirs` the
 invariants, `verify` rechecks everything symbolically and numerically, and
-`all` strings the stages together.  `cost` reports the equation counts,
-either for a system file or straight from --dim/--rank.
+`all` adds the cost comparison.  STAGES lists each one's sections, which
+run_stages runs in order over one run record: `decomp`, `gammas` and
+`result` for the sections after them.  A failed validation ends the run.
+`cost` reports the equation counts, either for a system file or straight
+from --dim/--rank.
 
 Every stage draws its randomness from the --seed flag alone, so repeated
 runs with the same seed produce byte-identical output.  Exit codes: 0 all
@@ -94,7 +97,8 @@ class Report:
 # -- sections -----------------------------------------------------------------
 
 
-def section_validate(sys_: ParsedSystem, args, rep: Report) -> bool:
+def section_validate(sys_: ParsedSystem, args, rep: Report, run: dict) -> bool:
+    """Skew symmetry, then the Jacobi identity; False, which ends the run, if either fails."""
     mat = sys_.matrix
     rep.say(
         f"system {sys_.name}: {len(mat.symbols.variables)} variables, "
@@ -131,8 +135,8 @@ def section_validate(sys_: ParsedSystem, args, rep: Report) -> bool:
     return False
 
 
-def section_rank(sys_: ParsedSystem, args, rep: Report):
-    decomp = sys_.matrix.decompose(seed=stage_seed(args.seed, "rank"))
+def section_rank(sys_: ParsedSystem, args, rep: Report, run: dict):
+    decomp = run["decomp"] = sys_.matrix.decompose(seed=stage_seed(args.seed, "rank"))
     rep.say(
         f"rank: {decomp.rank} "
         f"(pivot rows {_ints(decomp.pivot_rows_1based)}; "
@@ -143,13 +147,12 @@ def section_rank(sys_: ParsedSystem, args, rep: Report):
     rep.data["pivot_rows"] = list(decomp.pivot_rows_1based)
     rep.data["dependent_rows"] = list(decomp.dependent_rows_1based)
     rep.data["pivot_determinant"] = format_expr(decomp.pivot_det)
-    return decomp
 
 
-def section_gamma(sys_: ParsedSystem, args, rep: Report, decomp):
-    gammas = solve_gamma(
+def section_gamma(sys_: ParsedSystem, args, rep: Report, run: dict):
+    gammas = run["gammas"] = solve_gamma(
         sys_.matrix,
-        decomp,
+        run["decomp"],
         samples=args.samples,
         tol=args.tol,
         seed=stage_seed(args.seed, "gamma"),
@@ -168,11 +171,12 @@ def section_gamma(sys_: ParsedSystem, args, rep: Report, decomp):
         cols = ", ".join(f"({i},{j})" for i, j in gammas.sampled_columns)
         rep.say(f"gamma: columns certified numerically only: {cols}")
         rep.data["gamma_sampled_columns"] = [list(c) for c in gammas.sampled_columns]
-    return gammas
 
 
-def section_casimirs(sys_: ParsedSystem, args, rep: Report, decomp, gammas):
-    result = integrate_all(sys_.matrix, decomp, gammas, seed=stage_seed(args.seed, "integrate"))
+def section_casimirs(sys_: ParsedSystem, args, rep: Report, run: dict):
+    result = run["result"] = integrate_all(
+        sys_.matrix, run["decomp"], run["gammas"], seed=stage_seed(args.seed, "integrate")
+    )
     rep.say(f"casimirs: {len(result.casimirs)} of {result.target} expected")
     out = []
     for idx, c in enumerate(result.casimirs, start=1):
@@ -197,14 +201,13 @@ def section_casimirs(sys_: ParsedSystem, args, rep: Report, decomp, gammas):
         rep.say(f"note: {note}")
     rep.data["casimirs"] = out
     rep.data["casimir_notes"] = list(result.notes)
-    return result
 
 
-def section_verify(sys_: ParsedSystem, args, rep: Report, gammas, result):
+def section_verify(sys_: ParsedSystem, args, rep: Report, run: dict):
     mat = sys_.matrix
     seed = stage_seed(args.seed, "verify")
     checks = []
-    for idx, c in enumerate(result.casimirs, start=1):
+    for idx, c in enumerate(run["result"].casimirs, start=1):
         chk = casimir_check(mat, c.expr, samples=args.samples, tol=args.tol, seed=seed)
         status = "ok" if chk.symbolic_ok else "FAILED"
         line = (
@@ -226,7 +229,7 @@ def section_verify(sys_: ParsedSystem, args, rep: Report, gammas, result):
                 "sampled_components": list(chk.sampled_components),
             }
         )
-    resid = degeneracy_residual(mat, gammas, points=args.samples, seed=seed)
+    resid = degeneracy_residual(mat, run["gammas"], points=args.samples, seed=seed)
     line = f"verify degeneracy relations: max residual {resid:.3e}"
     if resid <= args.tol:
         rep.say(line)
@@ -235,7 +238,10 @@ def section_verify(sys_: ParsedSystem, args, rep: Report, gammas, result):
     rep.data["verify"] = {"casimirs": checks, "degeneracy_residual": resid}
 
 
-def section_flow(sys_: ParsedSystem, args, rep: Report, result):
+def section_flow(sys_: ParsedSystem, args, rep: Report, run: dict):
+    """Drift along the flow, with --flow only."""
+    if not args.flow:
+        return
     if sys_.hamiltonian is None:
         rep.say("flow: skipped (the system file declares no hamiltonian)")
         rep.data["flow"] = "skipped"
@@ -243,7 +249,7 @@ def section_flow(sys_: ParsedSystem, args, rep: Report, result):
     flow = flow_conservation(
         sys_.matrix,
         sys_.hamiltonian,
-        [c.expr for c in result.casimirs],
+        [c.expr for c in run["result"].casimirs],
         seed=stage_seed(args.seed, "flow"),
     )
     drifts = ", ".join(f"{d:.3e}" for d in flow.invariant_drifts) or "none to track"
@@ -293,6 +299,10 @@ def section_cost(n: int, rank: int, rep: Report):
         rep.say(f"cost note: {report.note}")
 
 
+def section_system_cost(sys_: ParsedSystem, args, rep: Report, run: dict):
+    section_cost(sys_.matrix.n, run["decomp"].rank, rep)
+
+
 def _ints(values) -> str:
     return " ".join(str(v) for v in values) if values else "-"
 
@@ -308,52 +318,28 @@ def cmd_systems(args) -> int:
     return rep.emit(args.json)
 
 
-def cmd_validate(args) -> int:
-    sys_ = load_any(args.system)
-    rep = Report("validate", sys_.name)
-    section_validate(sys_, args, rep)
-    return rep.emit(args.json)
+# command -> its sections, in the order they run
+STAGES = {
+    "validate": (section_validate,),
+    "rank": (section_rank,),
+    "gamma": (section_rank, section_gamma),
+    "casimirs": (section_rank, section_gamma, section_casimirs),
+}
+STAGES["verify"] = (section_validate, *STAGES["casimirs"], section_verify, section_flow)
+STAGES["all"] = STAGES["verify"] + (section_system_cost,)
 
 
-def cmd_rank(args) -> int:
-    sys_ = load_any(args.system)
-    rep = Report("rank", sys_.name)
-    section_rank(sys_, args, rep)
-    return rep.emit(args.json)
-
-
-def cmd_gamma(args) -> int:
-    sys_ = load_any(args.system)
-    rep = Report("gamma", sys_.name)
-    decomp = section_rank(sys_, args, rep)
-    section_gamma(sys_, args, rep, decomp)
-    return rep.emit(args.json)
-
-
-def cmd_casimirs(args) -> int:
-    sys_ = load_any(args.system)
-    rep = Report("casimirs", sys_.name)
-    decomp = section_rank(sys_, args, rep)
-    gammas = section_gamma(sys_, args, rep, decomp)
-    section_casimirs(sys_, args, rep, decomp, gammas)
-    return rep.emit(args.json)
-
-
-def cmd_pipeline(args) -> int:
-    """`verify` and `all`: every stage in turn; `all` adds the cost comparison."""
+def run_stages(args) -> int:
+    """Run the command's STAGES over one run record; a section returning False ends the run."""
     sys_ = load_any(args.system)
     rep = Report(args.command, sys_.name)
-    if not section_validate(sys_, args, rep):
-        rep.say("structure checks failed; later stages skipped")
-        return rep.emit(args.json)
-    decomp = section_rank(sys_, args, rep)
-    gammas = section_gamma(sys_, args, rep, decomp)
-    result = section_casimirs(sys_, args, rep, decomp, gammas)
-    section_verify(sys_, args, rep, gammas, result)
-    if args.flow:
-        section_flow(sys_, args, rep, result)
-    if args.command == "all":
-        section_cost(sys_.matrix.n, decomp.rank, rep)
+    stages = STAGES[args.command]
+    run: dict = {}
+    for k, section in enumerate(stages, start=1):
+        if section(sys_, args, rep, run) is False:
+            if k < len(stages):
+                rep.say("structure checks failed; later stages skipped")
+            break
     return rep.emit(args.json)
 
 
@@ -453,12 +439,12 @@ def _cost(sp):
 # name -> (help, handler, adds the command's arguments), in the order help lists them
 COMMANDS = {
     "systems": ("list the bundled example systems", cmd_systems, _json_flag),
-    "validate": ("check skew symmetry and the Jacobi identity", cmd_validate, _common),
-    "rank": ("rank and pivot decomposition", cmd_rank, _unsampled),
-    "gamma": ("degeneracy relation coefficients", cmd_gamma, _common),
-    "casimirs": ("integrate the invariants", cmd_casimirs, _common),
-    "verify": ("recheck the computed invariants", cmd_pipeline, _pipeline),
-    "all": ("full pipeline plus the cost comparison", cmd_pipeline, _pipeline),
+    "validate": ("check skew symmetry and the Jacobi identity", run_stages, _common),
+    "rank": ("rank and pivot decomposition", run_stages, _unsampled),
+    "gamma": ("degeneracy relation coefficients", run_stages, _common),
+    "casimirs": ("integrate the invariants", run_stages, _common),
+    "verify": ("recheck the computed invariants", run_stages, _pipeline),
+    "all": ("full pipeline plus the cost comparison", run_stages, _pipeline),
     "cost": ("equation counts for a system or a (dim, rank) pair", cmd_cost, _cost),
 }
 

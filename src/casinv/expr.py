@@ -472,7 +472,7 @@ def _diff(e: Expr, name: str) -> Expr:
 
 def _poly_diff(p: Poly, name: str) -> Expr:
     plain: dict = {}
-    extra = EXPR_ZERO
+    chain = []  # (term, d ln(u) / d name) of each ln(u) factor that involves name
     for m, c in p.terms.items():
         for i, (a, e) in enumerate(m):
             if isinstance(a, str):
@@ -488,9 +488,8 @@ def _poly_diff(p: Poly, name: str) -> Expr:
                 if not _involves(a.arg, name):
                     continue
                 nm = _mono_with_exp(m, i, e - 1)
-                dln = _diff(a.arg, name) / a.arg
-                extra = extra + _from_poly(Poly({nm: c * e})) * dln
-    return _from_poly(Poly(plain)) + extra
+                chain.append((_from_poly(Poly({nm: c * e})), _diff(a.arg, name) / a.arg))
+    return _from_poly(Poly(plain)) + sum_products(chain)
 
 
 def _mono_with_exp(m, i, new_e):
@@ -710,15 +709,18 @@ def zero_verdict(
     numerator is "zero", a nonzero ln-free one is "nonzero", and no point is
     drawn.  A numerator with ln atoms is sampled at `samples` random float
     points in the domain where it is defined, its terms compiled once by
-    compile_exprs.  The value is the sum of the terms and the scale the sum
-    of their magnitudes; a value exceeding `tol` relative to the scale is a
-    nonzero witness, and survival of all samples yields "probably-zero".
+    compile_exprs.  The value is the sum of the terms, taken in graded-lex
+    order (the order _poly_str prints), so equal Exprs get equal floats
+    however they were built; the scale is the sum of their magnitudes.  A
+    value exceeding `tol` relative to the scale is a nonzero witness, and
+    survival of all samples yields "probably-zero".
     """
     if e.num.is_zero():
         return ZeroVerdict("zero", 0)
     if all(isinstance(a, str) for a in e.num.atoms()):
         return ZeroVerdict("nonzero", 0)
-    f = compile_exprs([_from_poly(Poly({m: c})) for m, c in e.num.terms.items()], symbols)
+    monos = sorted(e.num.terms.items(), key=lambda mc: mono_order_key(mc[0]))
+    f = compile_exprs([_from_poly(Poly({m: c})) for m, c in monos], symbols)
 
     def at(pt):
         values = f(*pt.values())

@@ -380,41 +380,27 @@ def antiderivative(g: Expr, v: str, symbols: VariableSet) -> Expr:
     num, den = g.num, g.den
     dparts = poly.split_by_atom(den, v)
 
-    if set(dparts) == {0}:  # denominator free of v
-        acc = Poly.zero()
-        for k, coef in poly.split_by_atom(num, v).items():
-            acc = acc + coef * Poly.atom(v, k + 1).scale(Fraction(1, k + 1))
-        return _reduce(acc, den)
-
-    if len(dparts) == 1:  # denominator is v^k * E with E free of v
+    if len(dparts) == 1:  # denominator is v^k * E with E free of v, k >= 0
         (k,) = dparts
-        e_part = dparts[k]
-        total = EXPR_ZERO
-        for j, coef in sorted(poly.split_by_atom(num, v).items()):
-            piece = _reduce(coef, e_part)
-            d = j - k
-            if d == -1:
-                total = total + piece * ln_of(symbol(v))
-            else:
-                total = total + piece * symbol(v) ** (d + 1) * number(Fraction(1, d + 1))
-        return total
+
+        def power(d):  # an antiderivative of v^d
+            return ln_of(symbol(v)) if d == -1 else symbol(v) ** (d + 1) * number(Fraction(1, d + 1))
+
+        parts = sorted(poly.split_by_atom(num, v).items())
+        return sum_products((_reduce(coef, dparts[k]), power(j - k)) for j, coef in parts)
 
     if sorted(dparts) == [0, 1]:  # denominator linear in v: P*v + Q
         p_coef = _from_poly(dparts[1])
         lin = _from_poly(den)
         cur = _from_poly(num)
-        total = EXPR_ZERO
-        while True:
-            deg = cur.num.degree_in(v)
-            if deg == 0 or cur.is_zero():
-                break
+        pairs = []  # divide by lin: a v-power term per step, then the remainder's ln(lin)
+        while (deg := cur.num.degree_in(v)) > 0:
             top = _reduce(poly.split_by_atom(cur.num, v)[deg], cur.den)
             t = top / p_coef
-            total = total + t * symbol(v) ** deg * number(Fraction(1, deg))
+            pairs.append((t, symbol(v) ** deg * number(Fraction(1, deg))))
             cur = cur - t * symbol(v) ** (deg - 1) * lin
-        if not cur.is_zero():
-            total = total + (cur / p_coef) * ln_of(lin)
-        return total
+        pairs.append((cur / p_coef, ln_of(lin)))
+        return sum_products(pairs)
 
     raise NonElementaryError(
         f"denominator mixes {v}-powers with other {v}-dependence; "

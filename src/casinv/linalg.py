@@ -121,9 +121,10 @@ def _pfaffian(a: list, idx: tuple, memo: dict) -> Expr:
     """Pf of the principal block of the skew matrix a on the ascending indices idx.
 
     Expands along the block's first row, Pf = sum_k (-1)^k a[i][j_k] Pf(idx
-    without i, j_k) over the other indices j_k (k from 0), skipping zero
-    entries and zero minors; each minor's Pfaffian is memoised on its index
-    tuple, so the minors a caller asks for share their subexpansions.
+    without i, j_k) over the other indices j_k (k from 0), as one
+    sum_products, which skips zero minors.  A zero entry's minor is not
+    expanded.  Each minor's Pfaffian is memoised on its index tuple, so the
+    minors a caller asks for share their subexpansions.
     """
     if not idx:
         return EXPR_ONE
@@ -131,15 +132,11 @@ def _pfaffian(a: list, idx: tuple, memo: dict) -> Expr:
     if got is not None:
         return got
     row, rest = a[idx[0]], idx[1:]
-    pf = EXPR_ZERO
-    for k, j in enumerate(rest):
-        if row[j].is_zero():
-            continue
-        sub = _pfaffian(a, rest[:k] + rest[k + 1 :], memo)
-        if not sub.is_zero():
-            t = row[j] * sub
-            pf = pf - t if k % 2 else pf + t
-    memo[idx] = pf
+    pf = memo[idx] = sum_products(
+        (-row[j] if k % 2 else row[j], _pfaffian(a, rest[:k] + rest[k + 1 :], memo))
+        for k, j in enumerate(rest)
+        if not row[j].is_zero()
+    )
     return pf
 
 

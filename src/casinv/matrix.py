@@ -197,8 +197,9 @@ class StructureMatrix:
         entry is differentiated once, in the variables it involves only; its
         mirror J[b][a] = -J[a][b] takes the negated derivatives.  Only
         triples with some such term are visited: for each nonzero
-        dJ[a][b]/dx_l, the columns c of row l's pattern.  A triple whose sum
-        is exactly zero is proved and draws no sample point.
+        dJ[a][b]/dx_l, the columns c of row l's pattern.  Each triple's sum
+        is one sum_products over one common denominator; a sum that is
+        exactly zero is proved, runs no gcd and draws no sample point.
         """
         n = self.n
         index = {v: l for l, v in enumerate(self.symbols.variables)}
@@ -228,16 +229,12 @@ class StructureMatrix:
         failures = []
         sampled = []
         for i, j, k in sorted(live):
-            terms = []
-            for pos, (c, pair) in enumerate(((i, (j, k)), (j, (k, i)), (k, (i, j)))):
-                col = cols[c]
-                terms += [(l, pos, col[l], g) for l, g in grads.get(pair, {}).items() if l in col]
-            # added by l, then i, j, k: every order gives the same canonical
-            # sum, but this one keeps the partial sums as small as the dense loop's
-            terms.sort(key=lambda t: t[:2])
-            s = EXPR_ZERO
-            for _, _, e, g in terms:
-                s = s + e * g
+            s = sum_products(
+                (cols[c][l], g)
+                for c, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j)))
+                for l, g in grads.get(pair, {}).items()
+                if l in cols[c]
+            )
             if s.is_zero():
                 continue
             rng = random.Random(f"jacobi:{seed}:{i}:{j}:{k}")

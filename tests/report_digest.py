@@ -1,4 +1,4 @@
-"""One sha256 over a fixed set of `casinv all` reports.
+"""One sha256 over a fixed set of casinv reports.
 
 Run as `python tests/report_digest.py` from the repository root (the script
 puts `src/` on the path itself).  It renders every report in-process, plain
@@ -14,7 +14,11 @@ The set:
 * the pinned systems `tests/systems/*.psys` at `--seed 0` to `3`;
 * the `lie-poisson` systems of `bench/workloads.py` at `--seed 0` to `2`,
   without the so(5)* probe, which runs into the benchmark's time limit;
-* the 200 `nambu3` systems of workload seeds 0 and 1 at `--seed 0`.
+* the 200 `nambu3` systems of workload seeds 0 and 1 at `--seed 0`;
+* `validate`, `rank`, `gamma`, `casimirs`, `verify --flow` and `cost SYSTEM`
+  on the 6 fixtures at `--seed 0` and `1`, and on the pinned systems at
+  `--seed 0`;
+* `systems`, and `cost --dim 6 --rank 4`.
 
 bench/workloads.py is loaded from its file, read-only.  The generated
 systems are written to a temporary directory under fixed file names; the
@@ -67,6 +71,13 @@ def report_argvs(workdir: Path) -> list:
         path.write_text(case.text)
         for seed in seeds[id(case)]:
             argvs.append(["all", str(path), "--seed", str(seed)] + (["--flow"] if case.flow else []))
+    stages = [["validate"], ["rank"], ["gamma"], ["casimirs"], ["verify", "--flow"], ["cost"]]
+    for name in fixture_names():
+        for seed in range(2):
+            argvs += [[cmd, name, "--seed", str(seed), *flags] for cmd, *flags in stages]
+    for path in sorted((ROOT / "tests" / "systems").glob("*.psys")):
+        argvs += [[cmd, str(path), "--seed", "0", *flags] for cmd, *flags in stages]
+    argvs += [["systems"], ["cost", "--dim", "6", "--rank", "4"]]
     return argvs
 
 

@@ -109,6 +109,18 @@ def test_all_skips_stages_after_jacobi_failure(capsys):
     assert "casimir" not in out
 
 
+def test_skip_line_only_when_stages_remain(capsys):
+    # validate has no stage after the failed checks, verify has four
+    code, out, _ = run(capsys, "validate", "lv3-j1-corrupt")
+    assert code == 1
+    assert "jacobi: fails" in out
+    assert "later stages skipped" not in out
+    code, out, _ = run(capsys, "verify", "lv3-j1-corrupt")
+    assert code == 1
+    assert out.splitlines()[-1] == "structure checks failed; later stages skipped"
+    assert "casimir" not in out
+
+
 def test_cost_direct(capsys):
     code, out, _ = run(capsys, "cost", "--dim", "6", "--rank", "4")
     assert code == 0

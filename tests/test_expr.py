@@ -311,6 +311,15 @@ def test_zero_verdict_deterministic():
         assert a == b
 
 
+def test_zero_verdict_does_not_depend_on_how_the_expr_was_built():
+    # the same canonical Expr with its numerator's terms inserted in reverse
+    e = parse("3^20*ln(x1*x2) - 3^20*ln(x1) - 3^20*ln(x2) + 1000", VS)
+    flipped = _reduce(Poly(dict(reversed(list(e.num.terms.items())))), e.den)
+    assert flipped == e
+    assert list(flipped.num.terms) != list(e.num.terms)
+    assert zero_verdict(flipped, VS) == zero_verdict(e, VS)
+
+
 def test_zero_verdict_counts_usable_points():
     # zero wherever it is defined, and undefined at every draw with x1 <= 5
     e = parse("ln(x1 - 5) + ln(x2) - ln(x1*x2 - 5*x2)", VS)
